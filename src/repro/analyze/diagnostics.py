@@ -12,11 +12,12 @@ catalog reporters and the CLI consume (IDs, titles, paper citations).
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
+
+from repro.store import digest
 
 if TYPE_CHECKING:
     from repro.analyze.unit import DesignUnit
@@ -126,7 +127,7 @@ class Diagnostic:
                 self.location.turn,
             )
         )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+        return digest(key, 16)
 
     def render(self) -> str:
         """One-line human form: ``EBDA001 error P0(PA): message``."""

@@ -18,10 +18,10 @@ here.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.store import canonical_json, digest
 
 __all__ = [
     "CERT_SCHEMA",
@@ -42,21 +42,13 @@ CERT_SCHEMA = 1
 STATUSES = ("clean", "violation", "inapplicable")
 
 
-def canonical_json(obj: Any) -> str:
-    """The canonical serialization the content digest is computed over.
+def content_digest(payload: dict[str, Any]) -> str:
+    """``sha256:<hex>`` over the canonical JSON of ``payload``.
 
-    Sorted keys, no whitespace, ASCII-only: two payloads digest equal iff
-    they are value-equal, and any byte flip in the canonical form changes
+    Any byte flip in the :func:`repro.store.canonical_json` form changes
     either the parsed value or the validity of the JSON.
     """
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
-    )
-
-
-def content_digest(payload: dict[str, Any]) -> str:
-    """``sha256:<hex>`` over the canonical JSON of ``payload``."""
-    return "sha256:" + hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return "sha256:" + digest(canonical_json(payload), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ checkpoint format content-addressable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -34,6 +33,7 @@ from repro.obs.trace import current_tracer
 from repro.sim.faults import FaultSchedule, RecoveryPolicy
 from repro.sim.runner import RunConfig, run_point
 from repro.sim.specs import EbdaDesignFactory, resolve_routing_factory
+from repro.store import canonical_json, digest
 from repro.topology.mesh import Mesh
 
 from repro.chaos.checkpoint import CampaignCheckpoint
@@ -129,16 +129,14 @@ class CampaignConfig:
         """The campaign's 16-hex identity (checkpoint directory name)."""
         import repro
 
-        material = json.dumps(
+        material = canonical_json(
             {
                 "schema": CHAOS_SCHEMA,
                 "version": repro.__version__,
                 "config": self.to_dict(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
+        return digest(material, 16)
 
 
 @dataclass(frozen=True)
@@ -300,9 +298,7 @@ def _run_trial(payload: "tuple[CampaignConfig, int]") -> dict:
 
 def trial_record_bytes(record: dict) -> bytes:
     """The canonical bytes of one trial record (checkpointed verbatim)."""
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode()
+    return canonical_json(record).encode()
 
 
 @dataclass
@@ -365,16 +361,9 @@ class CampaignReport:
         file is byte-identical across reruns and resumes.
         """
         path = Path(path)
-        lines = [
-            json.dumps(
-                self.meta(), sort_keys=True, separators=(",", ":"), allow_nan=False
-            ).encode()
-        ]
+        lines = [canonical_json(self.meta()).encode()]
         lines.extend(self.trial_bytes)
-        lines.extend(
-            json.dumps(s, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-            for s in self.survival()
-        )
+        lines.extend(canonical_json(s).encode() for s in self.survival())
         path.write_bytes(b"\n".join(lines) + b"\n")
         return len(lines)
 
@@ -547,9 +536,7 @@ class ChaosCampaign:
             payload={
                 "trials_completed": report.trials_completed,
                 "counts": report.outcome_counts(),
-                "digest": hashlib.sha256(
-                    b"\n".join(report.trial_bytes)
-                ).hexdigest()[:16],
+                "digest": digest(b"\n".join(report.trial_bytes), 16),
             },
             wall_s=time.monotonic() - started,
         )

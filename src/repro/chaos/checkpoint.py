@@ -20,17 +20,16 @@ Three properties follow directly from that layout:
   :class:`~repro.chaos.campaign.CampaignConfig` plus the schema and
   library version, so a config tweak resumes nothing stale.
 
-Writes are atomic (tmp + rename), mirroring
-:class:`~repro.sim.parallel.ResultCache`, so a kill mid-write leaves at
-worst an ignorable tmp file.
+Writes go through :func:`repro.store.atomic_write`, so a kill mid-write
+leaves at worst an ignorable tmp file.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import re
 from pathlib import Path
+
+from repro.store import atomic_write, digest
 
 __all__ = ["CampaignCheckpoint", "record_digest"]
 
@@ -39,7 +38,22 @@ _TRIAL_RE = re.compile(r"^trial-(\d{5})-([0-9a-f]{12})\.json$")
 
 def record_digest(data: bytes) -> str:
     """The 12-hex content digest a trial file name embeds."""
-    return hashlib.sha256(data).hexdigest()[:12]
+    return digest(data, 12)
+
+
+def _read_intact(path: Path) -> "tuple[int, bytes] | None":
+    """``(index, bytes)`` of a trial file whose content matches the digest
+    in its name, or None for tmp files, torn writes and manual edits."""
+    match = _TRIAL_RE.match(path.name)
+    if not match:
+        return None
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    if record_digest(data) != match.group(2):
+        return None
+    return int(match.group(1)), data
 
 
 class CampaignCheckpoint:
@@ -77,12 +91,7 @@ class CampaignCheckpoint:
                     f" for trial {index}: the campaign is not deterministic"
                 )
             return self._path(index, record_digest(data))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(index, record_digest(data))
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-        return path
+        return atomic_write(self._path(index, record_digest(data)), data)
 
     def completed(self) -> dict[int, bytes]:
         """Every intact stored trial: index -> canonical record bytes.
@@ -91,37 +100,19 @@ class CampaignCheckpoint:
         (torn writes, manual edits) are silently dropped so the trial
         re-runs instead of poisoning the resumed report.
         """
-        out: dict[int, bytes] = {}
         try:
-            entries = sorted(p.name for p in self.directory.iterdir())
+            paths = sorted(self.directory.iterdir())
         except OSError:
-            return out
-        for name in entries:
-            match = _TRIAL_RE.match(name)
-            if not match:
-                continue
-            index, digest = int(match.group(1)), match.group(2)
-            try:
-                data = (self.directory / name).read_bytes()
-            except OSError:
-                continue
-            if record_digest(data) != digest:
-                continue
-            out[index] = data
-        return out
+            return {}
+        intact = (_read_intact(path) for path in paths)
+        return dict(item for item in intact if item is not None)
 
     def _load_index(self, index: int) -> "bytes | None":
         """The intact stored bytes for one trial index, or None."""
         for path in self.directory.glob(f"trial-{index:05d}-*.json"):
-            match = _TRIAL_RE.match(path.name)
-            if not match:
-                continue
-            try:
-                data = path.read_bytes()
-            except OSError:
-                continue
-            if record_digest(data) == match.group(2):
-                return data
+            item = _read_intact(path)
+            if item is not None:
+                return item[1]
         return None
 
     def _path(self, index: int, digest: str) -> Path:

@@ -42,7 +42,6 @@ through :class:`~repro.sim.parallel.ResultCache`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
@@ -50,6 +49,7 @@ from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError
 from repro.sim.flit import Packet
+from repro.store import canonical_json, digest
 from repro.topology.base import Coord, Topology
 
 __all__ = [
@@ -181,8 +181,7 @@ class WorkloadTrace:
 
     def token(self) -> str:
         """A stable content-addressed cache token for this trace."""
-        material = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return f"trace:{self.kind}:{hashlib.sha256(material.encode()).hexdigest()[:16]}"
+        return f"trace:{self.kind}:{digest(canonical_json(self.to_dict()), 16)}"
 
     def describe(self) -> str:
         if self.kind == "replay":

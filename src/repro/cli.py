@@ -427,16 +427,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.metrics_out:
         # Per-point compact summaries (full per-channel series belong to
         # `simulate --metrics-out`; a sweep meters every point cheaply).
-        with open(args.metrics_out, "w") as fh:
-            for result in report.results:
-                entry = {
+        from repro.store import write_jsonl
+
+        write_jsonl(
+            args.metrics_out,
+            (
+                {
                     "record": "sweep-point",
                     "routing": result.routing_name,
                     "injection_rate": result.config.injection_rate,
+                    **(result.metrics.summary_dict() if result.metrics is not None else {}),
                 }
-                if result.metrics is not None:
-                    entry.update(result.metrics.summary_dict())
-                fh.write(json.dumps(entry, allow_nan=False) + "\n")
+                for result in report.results
+            ),
+        )
         print(f"per-point metrics written to {args.metrics_out}")
     return 1 if any(r.deadlocked for r in report.results) else 0
 
@@ -771,15 +775,14 @@ def _ledger_lint(names: list, reports: list) -> None:
     The payload maps each unit to its sorted diagnostic rule IDs — a
     deterministic digest, so a rule catalog change shows up as drift.
     """
-    import hashlib
-
     from repro.obs.ledger import current_ledger, record_run
+    from repro.store import digest
 
     if current_ledger() is None:
         return
     spec = ",".join(names)
     if len(spec) > 80:
-        spec = "designs:" + hashlib.sha256(spec.encode()).hexdigest()[:16]
+        spec = "designs:" + digest(spec, 16)
     findings = sum(len(r.diagnostics) for r in reports)
     record_run(
         "lint",
@@ -933,15 +936,14 @@ def symbolic_family_summary(name: str) -> str:
 def _ledger_certify(
     names: list, reports: list, failures: int, wall_s: float
 ) -> None:
-    import hashlib
-
     from repro.obs.ledger import current_ledger, record_run
+    from repro.store import digest
 
     if current_ledger() is None:
         return
     spec = ",".join(names)
     if len(spec) > 80:
-        spec = "families:" + hashlib.sha256(spec.encode()).hexdigest()[:16]
+        spec = "families:" + digest(spec, 16)
     record_run(
         "certify",
         spec=spec,

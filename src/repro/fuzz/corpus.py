@@ -4,7 +4,9 @@ Each entry is one JSON file holding a :class:`FuzzDesign` recipe plus
 provenance (generator seed/trial when the fuzzer found it, a free-form
 note, and the expected classification).  File names are content-addressed
 — ``fuzz-<sha256 prefix of the canonical design JSON>.json`` — so saving
-the same witness twice is idempotent and entries never collide.
+the same witness twice is idempotent and entries never collide.  Writes
+go through :func:`repro.store.atomic_write`; loading rejects an entry
+whose stored ``id`` or file name no longer matches its design.
 
 The committed corpus under ``tests/fuzz/corpus/`` is a set of known-unsafe
 designs that every release must keep detecting; :func:`replay_entry` runs
@@ -14,7 +16,6 @@ compares against the recorded expectation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 from repro.errors import EbdaError
 from repro.fuzz.design import FuzzDesign
 from repro.fuzz.oracle import DifferentialOracle, TrialResult
+from repro.store import atomic_write, canonical_json, digest
 
 __all__ = [
     "CorpusEntry",
@@ -32,11 +34,9 @@ __all__ = [
     "save_entry",
 ]
 
-
 def entry_id(design: FuzzDesign) -> str:
     """Stable content hash of a design recipe (12 hex chars)."""
-    canonical = json.dumps(design.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return digest(canonical_json(design.to_dict()), 12)
 
 
 @dataclass
@@ -76,20 +76,31 @@ class CorpusEntry:
 
 def save_entry(entry: CorpusEntry, corpus_dir: str | Path) -> Path:
     """Write one entry (idempotent: content-addressed filename)."""
-    directory = Path(corpus_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"fuzz-{entry.id}.json"
-    path.write_text(json.dumps(entry.to_dict(), indent=2, sort_keys=True) + "\n")
-    return path
+    path = Path(corpus_dir) / f"fuzz-{entry.id}.json"
+    return atomic_write(path, json.dumps(entry.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_entry(path: str | Path) -> CorpusEntry:
+    """Load one entry, rejecting damaged and hand-edited files.
+
+    Raises :class:`EbdaError` when the file is unreadable or its stored
+    ``id`` or ``fuzz-<id>.json`` name differs from :func:`entry_id`.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise EbdaError(f"cannot load corpus entry {path}: {exc}") from exc
-    return CorpusEntry.from_dict(data)
+    if not isinstance(data, dict):
+        raise EbdaError(f"corpus entry {path} is not a JSON object")
+    entry = CorpusEntry.from_dict(data)
+    named = path.stem.removeprefix("fuzz-") if path.stem.startswith("fuzz-") else entry.id
+    if data.get("id") != entry.id or named != entry.id:
+        raise EbdaError(
+            f"corpus entry {path}: stored id {data.get('id')!r} or file name does not"
+            f" match the design's content id {entry.id} (entry edited?)"
+        )
+    return entry
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:

@@ -16,7 +16,6 @@ minimises it to within the 2-ary 2-mesh witness bound.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from repro.obs.ledger import record_run
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.sim.parallel import SweepEngine
+from repro.store import write_jsonl
 
 __all__ = [
     "Disagreement",
@@ -109,30 +109,21 @@ class FuzzReport:
     def to_jsonl(self, path: str | Path) -> Path:
         """One JSON line per trial, then one ``report`` line with totals."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for i, trial in enumerate(self.trials):
-                fh.write(
-                    json.dumps({"kind": "trial", "trial": i, **trial.to_dict()})
-                    + "\n"
-                )
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "report",
-                        "seed": self.seed,
-                        "runs_requested": self.runs_requested,
-                        "runs_completed": self.runs_completed,
-                        "elapsed_s": self.elapsed_s,
-                        "counts": self.counts,
-                        "ok": self.ok,
-                        "disagreements": [
-                            d.to_dict() for d in self.disagreements
-                        ],
-                    }
-                )
-                + "\n"
-            )
+        report = {
+            "kind": "report",
+            "seed": self.seed,
+            "runs_requested": self.runs_requested,
+            "runs_completed": self.runs_completed,
+            "elapsed_s": self.elapsed_s,
+            "counts": self.counts,
+            "ok": self.ok,
+            "disagreements": [d.to_dict() for d in self.disagreements],
+        }
+        trials = (
+            {"kind": "trial", "trial": i, **trial.to_dict()}
+            for i, trial in enumerate(self.trials)
+        )
+        write_jsonl(path, [*trials, report])
         return path
 
 

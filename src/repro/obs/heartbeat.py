@@ -2,8 +2,7 @@
 
 Long-running campaigns (chaos sweeps, fuzzing runs, big rate sweeps)
 write one *heartbeat file* each — a single strict-JSON object rewritten
-atomically (tmp + rename, mirroring
-:class:`~repro.sim.parallel.ResultCache`) after every batch.  A reader
+through :func:`repro.store.atomic_write` after every batch.  A reader
 can therefore never observe a torn heartbeat, and a crashed campaign
 leaves its last beat behind with a growing staleness age instead of a
 corrupt file.
@@ -27,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import EbdaError
+from repro.store import atomic_write, canonical_json, default_cache_dir
 
 __all__ = [
     "HEARTBEAT_SCHEMA",
@@ -49,8 +49,6 @@ def default_heartbeat_dir() -> Path:
     env = os.environ.get("REPRO_EBDA_HEARTBEAT_DIR")
     if env:
         return Path(env)
-    from repro.sim.parallel import default_cache_dir
-
     return default_cache_dir() / "heartbeats"
 
 
@@ -124,13 +122,10 @@ class HeartbeatWriter:
             **extra,
         }
         try:
-            json.dumps(record, allow_nan=False)
+            text = canonical_json(record)
         except (TypeError, ValueError) as exc:
             raise EbdaError(f"heartbeat fields must be strict-JSON-safe: {exc}") from None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, allow_nan=False, sort_keys=True))
-        os.replace(tmp, self.path)
+        atomic_write(self.path, text)
         self.beats += 1
         return record
 

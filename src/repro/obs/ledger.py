@@ -27,7 +27,6 @@ who never opt in never touch the filesystem.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import EbdaError
+from repro.store import canonical_json, default_cache_dir, digest
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -62,8 +62,6 @@ def default_ledger_dir() -> Path:
     env = os.environ.get("REPRO_EBDA_LEDGER_DIR")
     if env:
         return Path(env)
-    from repro.sim.parallel import default_cache_dir
-
     return default_cache_dir() / "ledger"
 
 
@@ -77,12 +75,10 @@ def versions() -> dict[str, str]:
 def outcome_digest(payload: Any) -> str:
     """16-hex content digest of a strict-JSON-safe outcome payload."""
     try:
-        material = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        material = canonical_json(payload)
     except (TypeError, ValueError) as exc:
         raise EbdaError(f"outcome payload must be strict-JSON-safe: {exc}") from None
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    return digest(material, 16)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ class RunRecord:
     @property
     def run_id(self) -> str:
         """16-hex digest of the identity half (kind/spec/backend/seed/versions)."""
-        material = json.dumps(
+        material = canonical_json(
             {
                 "schema": LEDGER_SCHEMA,
                 "kind": self.kind,
@@ -121,11 +117,9 @@ class RunRecord:
                 "backend": self.backend,
                 "seed": self.seed,
                 "versions": self.versions,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
+        return digest(material, 16)
 
     @property
     def identity(self) -> tuple:
@@ -190,11 +184,8 @@ class RunLedger:
         if not record.created_at:
             object.__setattr__(record, "created_at", time.time())
         self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            record.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
         with self.path.open("a") as fh:
-            fh.write(line + "\n")
+            fh.write(canonical_json(record.to_dict()) + "\n")
         return record
 
     def records(self) -> list[RunRecord]:
@@ -240,7 +231,7 @@ class RunLedger:
             variants: list[dict] = []
             seen: set[tuple] = set()
             for m in members:
-                key = (json.dumps(m.versions, sort_keys=True), m.digest)
+                key = (canonical_json(m.versions), m.digest)
                 if key in seen:
                     continue
                 seen.add(key)

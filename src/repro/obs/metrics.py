@@ -30,7 +30,6 @@ feeds back into cache keys or simulation results.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from bisect import bisect_right
@@ -38,6 +37,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.errors import EbdaError
+from repro.store import write_jsonl
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -294,25 +294,14 @@ class MetricsRegistry:
         The first line is a ``metrics-meta`` record with the schema and a
         capture timestamp; instrument lines follow.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         records = self.snapshot()
-        with path.open("w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "schema": METRICS_SCHEMA,
-                        "record": "metrics-meta",
-                        "instruments": len(records),
-                        "captured_at": time.time(),
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )
-            for record in records:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
-        return len(records) + 1
+        meta = {
+            "schema": METRICS_SCHEMA,
+            "record": "metrics-meta",
+            "instruments": len(records),
+            "captured_at": time.time(),
+        }
+        return write_jsonl(path, [meta, *records])
 
 
 #: The process-wide default registry the instrumented subsystems write to.

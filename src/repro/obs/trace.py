@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import EbdaError
+from repro.store import write_jsonl
 
 __all__ = [
     "NULL_TRACER",
@@ -183,12 +184,7 @@ class Tracer:
 
     def to_jsonl(self, path: "str | Path") -> int:
         """Write every event as strict JSON Lines; returns the line count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, allow_nan=False) + "\n")
-        return len(self.events)
+        return write_jsonl(path, self.events)
 
 
 class _NullSpan:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import EbdaError, SimulationError
+from repro.store import write_jsonl
 from repro.topology.wires import Wire
 
 if TYPE_CHECKING:
@@ -603,11 +604,7 @@ class MetricsCollector:
 
     def to_jsonl(self, path, stats: "SimStats | None" = None) -> int:
         """Write every record as strict JSON Lines; returns the line count."""
-        records = self.records(stats)
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
-        return len(records)
+        return write_jsonl(path, self.records(stats))
 
     def to_csv(self, path) -> int:
         """Write the global sampled series as CSV; returns the row count."""

@@ -33,9 +33,7 @@ written, and it can never produce a stale hit.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +47,7 @@ from repro.routing.base import RoutingFunction
 from repro.sim.runner import RunConfig, RunResult, run_point
 from repro.sim.specs import resolve_routing_factory, spec_token
 from repro.sim.stats import SimStats
+from repro.store import atomic_write, default_cache_dir, digest
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -69,16 +68,6 @@ __all__ = [
 CACHE_SCHEMA = 1
 
 
-def default_cache_dir() -> Path:
-    """``$REPRO_EBDA_CACHE_DIR``, else ``~/.cache/repro-ebda``."""
-    env = os.environ.get("REPRO_EBDA_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-ebda"
-
-
 def topology_token(topology: Topology) -> str:
     """A content-addressed token for a concrete topology.
 
@@ -89,8 +78,7 @@ def topology_token(topology: Topology) -> str:
     links = "\n".join(
         f"{l.src}>{l.dst}:{l.dim}{l.sign:+d}" for l in sorted(topology.links)
     )
-    digest = hashlib.sha256(links.encode()).hexdigest()[:16]
-    return f"{topology!r}|n={len(topology.nodes)}|links={digest}"
+    return f"{topology!r}|n={len(topology.nodes)}|links={digest(links, 16)}"
 
 
 def _routing_token(routing: object) -> str | None:
@@ -164,7 +152,7 @@ def point_token(
             f"config={config_token}",
         ]
     )
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    return digest(material, 16)
 
 
 def sweep_token(
@@ -179,7 +167,7 @@ def sweep_token(
     if base is None:
         return None
     material = f"point={base}\nrates={','.join(repr(float(r)) for r in rates)}"
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    return digest(material, 16)
 
 
 def cache_key(
@@ -201,14 +189,14 @@ def cache_key(
             f"point={token}",
         ]
     )
-    return hashlib.sha256(material.encode()).hexdigest()
+    return digest(material, 64)
 
 
 class ResultCache:
     """On-disk store of finished simulation points, one JSON file per key.
 
-    Writes are atomic (tmp file + rename), so concurrent sweeps sharing a
-    directory can only ever observe complete entries.
+    Writes go through :func:`repro.store.atomic_write`, so concurrent
+    sweeps sharing a directory can only ever observe complete entries.
     """
 
     def __init__(self, directory: "Path | str | None" = None) -> None:
@@ -218,24 +206,23 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str, config: RunConfig) -> RunResult | None:
-        """The cached result for ``key`` (rebuilt around ``config``), or None."""
-        path = self._path(key)
+        """The cached result for ``key`` (rebuilt around ``config``), or None
+        for any entry that does not rebuild into a :class:`RunResult`."""
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            payload = json.loads(self._path(key).read_text())
+            if payload["schema"] != CACHE_SCHEMA:
+                return None
+            return RunResult(
+                routing_name=payload["routing_name"],
+                config=config,
+                stats=SimStats.from_dict(payload["stats"]),
+                n_nodes=payload["n_nodes"],
+            )
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            return None
-        return RunResult(
-            routing_name=payload["routing_name"],
-            config=config,
-            stats=SimStats.from_dict(payload["stats"]),
-            n_nodes=payload["n_nodes"],
-        )
 
     def put(self, key: str, result: RunResult, wall_time: float) -> None:
         """Store a finished point under ``key``."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
             "routing_name": result.routing_name,
@@ -243,10 +230,7 @@ class ResultCache:
             "stats": result.stats.to_dict(),
             "wall_time": wall_time,
         }
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
+        atomic_write(self._path(key), json.dumps(payload))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()

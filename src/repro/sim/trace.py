@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.sim.flit import Flit, Packet
+from repro.store import write_jsonl
 from repro.topology.base import Coord
 from repro.topology.wires import Wire
 
@@ -188,25 +189,22 @@ class Trace:
         accounting), then one ``trace`` record per retained event.
         Strict JSON throughout, loadable next to a metrics export.
         """
-        import json
-
         meta = {
             "record": "trace-meta",
             "capacity": self.capacity,
             "events": len(self.events),
             "dropped_events": self.dropped_events,
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(meta, allow_nan=False) + "\n")
-            for e in self.events:
-                record = {
-                    "record": "trace",
-                    "cycle": e.cycle,
-                    "kind": e.kind,
-                    "pid": e.pid,
-                    "detail": e.detail,
-                    "node": list(e.node) if e.node is not None else None,
-                    "role": e.role,
-                }
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
-        return len(self.events) + 1
+        records = (
+            {
+                "record": "trace",
+                "cycle": e.cycle,
+                "kind": e.kind,
+                "pid": e.pid,
+                "detail": e.detail,
+                "node": list(e.node) if e.node is not None else None,
+                "role": e.role,
+            }
+            for e in self.events
+        )
+        return write_jsonl(path, [meta, *records])

@@ -80,6 +80,36 @@ def test_corrupt_entry_raises_ebda_error(tmp_path):
         load_entry(bad)
 
 
+@pytest.mark.parametrize(
+    "restamp_id,rename", [(False, False), (True, False), (False, True)],
+    ids=["stale-id-and-name", "stale-name", "stale-id"],
+)
+def test_edited_entry_rejected(tmp_path, restamp_id, rename):
+    # Editing a committed witness without re-saving it leaves its stored
+    # id and/or file name pointing at content that no longer exists.
+    stale = "01b9c1dc1a47"
+    data = json.loads((COMMITTED / f"fuzz-{stale}.json").read_text())
+    data["design"]["label"] = "edited"
+    data["expect"] = "clean"
+    fresh = entry_id(FuzzDesign.from_dict(data["design"]))
+    assert fresh != stale
+    if restamp_id:
+        data["id"] = fresh
+    path = tmp_path / f"fuzz-{fresh if rename else stale}.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(EbdaError, match="content id"):
+        load_entry(path)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(COMMITTED.glob("fuzz-*.json")), ids=lambda p: p.stem
+)
+def test_committed_entry_resaves_byte_identically(path, tmp_path):
+    saved = save_entry(load_entry(path), tmp_path)
+    assert saved.name == path.name
+    assert saved.read_bytes() == path.read_bytes()
+
+
 def test_committed_corpus_exists_and_is_well_formed():
     entries = load_corpus(COMMITTED)
     assert len(entries) >= 5

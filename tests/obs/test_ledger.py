@@ -1,9 +1,14 @@
 """Unit tests for the run ledger: identity, drift, append-only JSONL."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import EbdaError
 from repro.obs import (
     RunLedger,
@@ -184,3 +189,28 @@ class TestCurrentLedger:
         line = json.loads(RunLedger(tmp_path).path.read_text())
         assert "payload" not in line
         assert line["digest"] == outcome_digest({"secret": list(range(100))})
+
+    def test_default_dirs_do_not_load_the_simulator(self, tmp_path):
+        # The ledger and heartbeat directories default under the cache
+        # root; resolving them must not import repro.sim (and numpy).
+        code = (
+            "import sys\n"
+            "from repro.obs.heartbeat import default_heartbeat_dir\n"
+            "from repro.obs.ledger import default_ledger_dir\n"
+            "print(default_ledger_dir().parent == default_heartbeat_dir().parent)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.sim')))\n"
+        )
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("REPRO_EBDA_LEDGER_DIR", "REPRO_EBDA_HEARTBEAT_DIR")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        env["REPRO_EBDA_CACHE_DIR"] = str(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.split("\n")[:2] == ["True", "[]"]

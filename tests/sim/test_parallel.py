@@ -99,11 +99,17 @@ class TestResultCache:
         assert again.cached
         assert again.result.stats == outcome.result.stats
 
-    def test_corrupt_entry_ignored(self, mesh4, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        ["{not json", "[]", '"x"', '{"schema": 1}'],
+        ids=["not-json", "list", "string", "schema-only"],
+    )
+    def test_corrupt_entry_ignored(self, mesh4, tmp_path, body):
         cache = ResultCache(tmp_path / "cache")
         engine = SweepEngine(cache=cache)
         outcome = engine.run_point(mesh4, "xy", _config())
-        (tmp_path / "cache" / f"{outcome.key}.json").write_text("{not json")
+        (tmp_path / "cache" / f"{outcome.key}.json").write_text(body)
+        assert cache.get(outcome.key, _config()) is None
         again = engine.run_point(mesh4, "xy", _config())
         assert not again.cached  # re-simulated, not crashed
 
