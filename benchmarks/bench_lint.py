@@ -1,7 +1,7 @@
 """Lint-vs-verify benchmark: the static analyzer's whole selling point.
 
 ``repro lint`` exists because a designer should not need a concrete CDG
-build (O(topology size) wires + a networkx cycle check) just to learn a
+build (O(topology size) wires + a cycle search over them) just to learn a
 partition sequence breaks Theorem 1.  These benchmarks put a number on
 that gap: linting the full catalog is topology-size independent, while
 `verify_design` grows with the mesh.

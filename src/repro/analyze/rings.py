@@ -17,8 +17,7 @@ fuzzer's theorem oracle.
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.cdg.cycles import first_cycle
 from repro.core.channel import Channel
 from repro.core.turns import TurnSet
 from repro.topology.base import Coord, Link, Topology
@@ -45,21 +44,19 @@ def unbroken_rings(
     """
     out: list[list[Link]] = []
     for ring in link_rings(topology):
-        graph: nx.DiGraph = nx.DiGraph()
         k = len(ring)
-        for i, link in enumerate(ring):
-            nxt = ring[(i + 1) % k]
-            here = instantiable_classes(classes, link, rule)
-            there = instantiable_classes(classes, nxt, rule)
+        states = [instantiable_classes(classes, link, rule) for link in ring]
+        succ: dict[tuple[int, Channel], list[tuple[int, Channel]]] = {
+            (i, a): [] for i, here in enumerate(states) for a in here
+        }
+        for i, here in enumerate(states):
+            j = (i + 1) % k
             for a in here:
-                for b in there:
-                    if a == b or turnset.allows(a, b):
-                        graph.add_edge((i, a), ((i + 1) % k, b))
-        try:
-            nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            continue
-        out.append(ring)
+                succ[(i, a)].extend(
+                    (j, b) for b in states[j] if a == b or turnset.allows(a, b)
+                )
+        if first_cycle(succ) is not None:
+            out.append(ring)
     return out
 
 

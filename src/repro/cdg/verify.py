@@ -17,6 +17,7 @@ import networkx as nx
 
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
+from repro.cdg.cycles import first_cycle
 from repro.cdg.graph import build_design_cdg, build_routing_cdg, build_turn_cdg
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
@@ -64,12 +65,8 @@ class Verdict:
 
 def verdict_for(graph: "nx.DiGraph") -> Verdict:
     """Evaluate an already-built dependency graph."""
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return Verdict(True, graph.number_of_nodes(), graph.number_of_edges())
-    cycle = tuple(edge[0] for edge in edges)
-    return Verdict(False, graph.number_of_nodes(), graph.number_of_edges(), cycle)
+    cycle = first_cycle(graph._succ)
+    return Verdict(cycle is None, graph.number_of_nodes(), graph.number_of_edges(), cycle or ())
 
 
 def verify_design(

@@ -14,10 +14,11 @@ acyclicity of the channel dependency graph, reached by an entirely
 different algorithm.
 
 That independence is the point: :mod:`repro.cdg` answers the same
-question through networkx cycle detection over a ``DiGraph``; this
-module hand-rolls the relation *and* the decision procedure with no
-shared code, which makes it a genuine fifth oracle for the differential
-fuzzer (:mod:`repro.fuzz.oracle`).  Everything iterates in sorted order,
+question through a depth-first cycle search (:mod:`repro.cdg.cycles`)
+over a networkx ``DiGraph``; this module hand-rolls the relation *and*
+the decision procedure with no shared code (it imports neither), which
+makes it a genuine fifth oracle for the differential fuzzer
+(:mod:`repro.fuzz.oracle`).  Everything iterates in sorted order,
 so verdicts are deterministic and invariant under node relabeling.
 
 Two relation builders mirror the two CDG flavours:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.errors import ChannelParseError
 
@@ -94,6 +95,8 @@ class Channel:
     sign: int
     vc: int = 1
     cls: str = ""
+    # Set per instance by __post_init__; ClassVar keeps it out of the fields.
+    _hash: ClassVar[int]
 
     def __post_init__(self) -> None:
         if self.sign not in (POS, NEG):
@@ -102,6 +105,17 @@ class Channel:
             raise ChannelParseError(f"dim must be >= 0, got {self.dim}")
         if self.vc < 1:
             raise ChannelParseError(f"vc numbers are 1-based, got {self.vc}")
+        # Hashed once: channels (inside wires) key every dependency graph.
+        # The value is the dataclass default, so set orders do not change.
+        object.__setattr__(self, "_hash", hash((self.dim, self.sign, self.vc, self.cls)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[Channel], tuple[int, int, int, str]]:
+        # Pickle the fields only: ``cls`` is a str, whose hash is salted per
+        # process, so an unpickled channel must hash itself again.
+        return Channel, (self.dim, self.sign, self.vc, self.cls)
 
     # -- presentation ------------------------------------------------------
 

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import networkx as nx
 
+from repro.cdg.cycles import first_cycle
 from repro.topology.wires import Wire
 
 if TYPE_CHECKING:
@@ -83,12 +84,8 @@ def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
 
 def waitfor_cycle(sim: "NetworkSimulator") -> list[int] | None:
     """A cyclic wait among packet ids, or None when no cycle exists."""
-    graph = build_waitfor_graph(sim)
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [e[0] for e in edges]
+    cycle = first_cycle(build_waitfor_graph(sim)._succ)
+    return None if cycle is None else list(cycle)
 
 
 def cycle_witness(

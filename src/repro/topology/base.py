@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.errors import TopologyError
 
@@ -33,6 +33,20 @@ class Link:
     dst: Coord
     dim: int
     sign: int
+    # Set per instance by __post_init__; ClassVar keeps it out of the fields.
+    _hash: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        # Hashed once (the dataclass-default value, so set orders do not
+        # change): links key the wire maps and, inside wires, every CDG.
+        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.dim, self.sign)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[Link], tuple[Coord, Coord, int, int]]:
+        # Pickle the fields only; the unpickling process hashes afresh.
+        return Link, (self.src, self.dst, self.dim, self.sign)
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"

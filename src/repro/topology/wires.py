@@ -9,7 +9,7 @@ link whose spatial-class tag matches the channel's ``cls``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from repro.core.channel import Channel
 from repro.errors import TopologyError
@@ -23,6 +23,20 @@ class Wire:
 
     link: Link
     channel: Channel
+    # Set per instance by __post_init__; ClassVar keeps it out of the fields.
+    _hash: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        # Hashed once (the dataclass-default value, so set orders do not
+        # change): wires are the nodes of every CDG and routing memo.
+        object.__setattr__(self, "_hash", hash((self.link, self.channel)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[Wire], tuple[Link, Channel]]:
+        # Pickle the fields only; the unpickling process hashes afresh.
+        return Wire, (self.link, self.channel)
 
     def __str__(self) -> str:
         return f"{self.channel}@{self.link.src}->{self.link.dst}"

@@ -1,9 +1,12 @@
 """Unit tests for CDG construction."""
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
-from repro.cdg import build_design_cdg, build_routing_cdg, build_turn_cdg
+from repro.cdg import build_design_cdg, build_routing_cdg, build_turn_cdg, verdict_for
 from repro.core import PartitionSequence, channels, extract_turns, turnset_from_strings
 from repro.routing import UnrestrictedAdaptive, xy_routing
 from repro.topology import Mesh
@@ -71,3 +74,30 @@ class TestRoutingCDG:
         graph = build_routing_cdg(mesh4, xy_routing(mesh4))
         for a, b in graph.edges:
             assert not (a.channel.dim == b.channel.dim and a.channel.sign != b.channel.sign)
+
+
+class TestDependencyGraph:
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_edge_count_is_networkx_count(self, mesh4, north_last_design, routed):
+        graph = (
+            build_routing_cdg(mesh4, UnrestrictedAdaptive(mesh4))
+            if routed else build_design_cdg(mesh4, north_last_design)
+        )
+        assert graph.number_of_edges() == nx.DiGraph(graph).number_of_edges() > 0
+        a, b = next(iter(graph.edges))
+        assert graph.number_of_edges(a, b) == 1
+        assert graph.number_of_edges(b, a) == int(graph.has_edge(b, a))
+
+    def test_freed_by_reference_counting(self, mesh4, north_last_design):
+        """Counting edges (as every verdict does) leaves no reference cycle,
+        so a dead CDG is freed at once, not at the next collector run."""
+        graph = build_design_cdg(mesh4, north_last_design)
+        verdict_for(graph)
+        graph.number_of_edges()
+        ref = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph
+            assert ref() is None
+        finally:
+            gc.enable()
