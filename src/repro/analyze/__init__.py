@@ -49,9 +49,10 @@ from repro.analyze.symbolic import (
     differential_gate,
     symbolic_family,
 )
-from repro.analyze.unit import DesignUnit, TableProtocol
+from repro.analyze.unit import NATIVE_LINT, DesignUnit, TableProtocol
 
 __all__ = [
+    "NATIVE_LINT",
     "RULES",
     "SYMBOLIC_FAMILIES",
     "SYMBOLIC_RULES",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro.analyze.engine import AnalysisReport
 from repro.errors import EbdaError
+from repro.store import read_json
 
 __all__ = ["apply_baseline", "load_baseline", "write_baseline"]
 
@@ -35,13 +36,8 @@ def write_baseline(reports: Sequence[AnalysisReport], path: str | Path) -> int:
 
 def load_baseline(path: str | Path) -> frozenset[str]:
     """The fingerprint set of a baseline file (validating its shape)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise EbdaError(f"baseline file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise EbdaError(f"baseline file {path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("version") != BASELINE_VERSION:
+    payload = read_json(path)
+    if payload.get("version") != BASELINE_VERSION:
         raise EbdaError(
             f"baseline file {path} has unsupported shape (expected"
             f' {{"version": {BASELINE_VERSION}, "fingerprints": ...}})'

@@ -13,6 +13,7 @@ which is O(links) to enumerate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Protocol, runtime_checkable
@@ -24,8 +25,21 @@ from repro.core.turns import TurnSet
 from repro.errors import EbdaError
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
+from repro.topology.dragonfly import Dragonfly
+from repro.topology.fattree import FatTree
 
-__all__ = ["DesignUnit", "TableProtocol"]
+__all__ = ["NATIVE_LINT", "DesignUnit", "TableProtocol"]
+
+#: Beyond-mesh catalog designs lint on their native topologies: design
+#: name -> (topology factory, rule IDs to ignore).  The dragonfly pair
+#: drops EBDA005, whose torus wrap-ring premise misreads dragonfly global
+#: 2-rings; EBDA012 (the global-loop analogue) is the real dragonfly
+#: check and stays enabled.
+NATIVE_LINT: dict[str, tuple[Callable[[], Topology], tuple[str, ...]]] = {
+    "dragonfly-minimal": (lambda: Dragonfly(4), ("EBDA005",)),
+    "dragonfly-valiant": (lambda: Dragonfly(4), ("EBDA005",)),
+    "fattree-updown": (lambda: FatTree(4, 2, 2), ()),
+}
 
 
 @runtime_checkable

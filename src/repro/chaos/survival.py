@@ -28,11 +28,11 @@ a file back strictly; :func:`render_survival` prints the text report the
 
 from __future__ import annotations
 
-import json
 from math import floor
 from pathlib import Path
 
 from repro.errors import EbdaError
+from repro.store import read_jsonl
 
 __all__ = [
     "CHAOS_SCHEMA",
@@ -150,38 +150,19 @@ def survival_curves(records: list[dict]) -> list[dict]:
     return out
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"non-strict JSON constant {token!r} in chaos file")
-
-
 def load_survival(path) -> list[dict]:
     """Load a chaos campaign JSONL report back into its record dicts.
 
-    Strict, mirroring :func:`repro.sim.metrics.load_metrics`: rejects
-    ``NaN``/``Infinity`` tokens, non-object lines, unknown record kinds,
-    and files whose leading record is not a compatible ``campaign-meta``.
+    Strict (:func:`repro.store.read_jsonl`), and rejects unknown record
+    kinds and files whose leading record is not a compatible
+    ``campaign-meta``.
     """
-    records: list[dict] = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise EbdaError(f"cannot read chaos file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise EbdaError(f"{path}:{lineno}: not strict JSON: {exc}") from exc
-            if not isinstance(record, dict) or "record" not in record:
-                raise EbdaError(f"{path}:{lineno}: not a chaos record")
-            if record["record"] not in ("campaign-meta", "trial", "survival"):
-                raise EbdaError(
-                    f"{path}:{lineno}: unknown record kind {record['record']!r}"
-                )
-            records.append(record)
+    records = read_jsonl(path)
+    for index, record in enumerate(records, 1):
+        if record.get("record") not in ("campaign-meta", "trial", "survival"):
+            raise EbdaError(
+                f"{path}: record {index} has unknown record kind {record.get('record')!r}"
+            )
     if not records or records[0].get("record") != "campaign-meta":
         raise EbdaError(f"{path}: missing leading campaign-meta record")
     if records[0].get("schema") != CHAOS_SCHEMA:

@@ -49,7 +49,7 @@ from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError
 from repro.sim.flit import Packet
-from repro.store import canonical_json, digest
+from repro.store import canonical_json, digest, read_jsonl
 from repro.topology.base import Coord, Topology
 
 __all__ = [
@@ -399,29 +399,13 @@ def load_workload(path: "str | Path") -> WorkloadTrace:
 
     The inverse of ``save_jsonl``: ``load_workload(save(t)) == t``.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise EbdaError(f"cannot read workload file {path}: {exc}") from exc
     meta: dict | None = None
     events: list[tuple] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(
-                line, parse_constant=lambda t: (_ for _ in ()).throw(ValueError(t))
-            )
-        except ValueError as exc:
-            raise EbdaError(f"{path}:{lineno}: not strict JSON: {exc}") from exc
-        if not isinstance(record, dict) or "record" not in record:
-            raise EbdaError(f"{path}:{lineno}: not a workload record")
-        kind = record.pop("record")
+    for index, record in enumerate(read_jsonl(path), 1):
+        kind = record.pop("record", None)
         if kind == "workload-meta":
             if meta is not None:
-                raise EbdaError(f"{path}:{lineno}: duplicate workload-meta record")
+                raise EbdaError(f"{path}: record {index} is a duplicate workload-meta")
             meta = record
         elif kind == "injection":
             events.append(
@@ -433,7 +417,7 @@ def load_workload(path: "str | Path") -> WorkloadTrace:
                 )
             )
         else:
-            raise EbdaError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            raise EbdaError(f"{path}: record {index} has unknown record kind {kind!r}")
     if meta is None:
         raise EbdaError(f"{path}: missing workload-meta record")
     if events:

@@ -407,13 +407,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sample_every=args.sample_every,
         backend=args.backend,
     )
-    from repro.errors import ConfigError
     from repro.sim import check_run_config, resolve_backend
 
-    try:
-        check_run_config(resolve_backend(args.backend), config)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    check_run_config(resolve_backend(args.backend), config)
     report = engine.sweep(mesh, args.routing, rates, config)
     print(compare_table({args.routing: report.results}))
     sat = saturation_rate(report.results)
@@ -473,10 +469,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         render_summary,
     )
 
-    try:
-        records = load_metrics(args.file)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    records = load_metrics(args.file)
     everything = not (args.summary or args.heatmap or args.forensics)
     sections = []
     if args.summary or everything:
@@ -582,31 +575,25 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.sim.parallel import SweepEngine
 
     if args.load:
-        try:
-            print(render_survival(args.load))
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        print(render_survival(args.load))
         return 0
 
     try:
         mesh = tuple(int(k) for k in args.mesh.lower().split("x"))
     except ValueError:
         raise SystemExit(f"bad mesh spec {args.mesh!r} (use e.g. 4x4)")
-    try:
-        config = CampaignConfig(
-            trials=args.trials,
-            seed=args.seed,
-            mesh=mesh,
-            routing=args.routing,
-            workloads=tuple(w for w in args.workloads.split(",") if w),
-            policies=tuple(p for p in args.policies.split(",") if p),
-            max_faults=args.max_faults,
-            cycles=args.cycles,
-            buffer_depth=args.buffers,
-            watchdog=args.watchdog,
-        )
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    config = CampaignConfig(
+        trials=args.trials,
+        seed=args.seed,
+        mesh=mesh,
+        routing=args.routing,
+        workloads=tuple(w for w in args.workloads.split(",") if w),
+        policies=tuple(p for p in args.policies.split(",") if p),
+        max_faults=args.max_faults,
+        cycles=args.cycles,
+        buffer_depth=args.buffers,
+        watchdog=args.watchdog,
+    )
 
     engine = _engine_from_args(args) or SweepEngine()
     campaign = ChaosCampaign(
@@ -638,6 +625,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analyze import (
+        NATIVE_LINT,
         RULES,
         Analyzer,
         DesignUnit,
@@ -647,17 +635,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         write_baseline,
     )
     from repro.analyze.reporters import render_json, render_sarif, render_text
-    from repro.topology import Dragonfly, FatTree, Torus
-
-    # Beyond-mesh catalog designs lint on their native topologies; the
-    # dragonfly pair drops EBDA005, whose torus wrap-ring premise misreads
-    # dragonfly global 2-rings — EBDA012 (the global-loop analogue) is the
-    # real dragonfly check and stays enabled.
-    native_lint = {
-        "dragonfly-minimal": (lambda: Dragonfly(4), ("EBDA005",)),
-        "dragonfly-valiant": (lambda: Dragonfly(4), ("EBDA005",)),
-        "fattree-updown": (lambda: FatTree(4, 2, 2), ()),
-    }
+    from repro.topology import Torus
 
     if args.list_rules:
         for rid, info in sorted(RULES.items()):
@@ -679,10 +657,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     select = tuple(args.select.split(",")) if args.select else None
     ignore = tuple(args.ignore.split(",")) if args.ignore else ()
-    try:
-        analyzer = Analyzer(select=select, ignore=ignore)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    analyzer = Analyzer(select=select, ignore=ignore)
 
     rule = None
     if args.rule:
@@ -719,8 +694,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     for name in names:
         design, suggested = resolve_unvalidated(name)
         design_analyzer = analyzer
-        if name in native_lint and not (args.torus or args.mesh or args.no_topology):
-            make_topology, extra_ignore = native_lint[name]
+        if name in NATIVE_LINT and not (args.torus or args.mesh or args.no_topology):
+            make_topology, extra_ignore = NATIVE_LINT[name]
             topology = make_topology()
             if extra_ignore:
                 design_analyzer = Analyzer(
@@ -744,10 +719,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"baseline with {n} fingerprint(s) written to {args.write_baseline}")
         return 0
     if args.baseline:
-        try:
-            reports = apply_baseline(reports, load_baseline(args.baseline))
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        reports = apply_baseline(reports, load_baseline(args.baseline))
 
     if args.format == "json":
         rendered = render_json(reports)
@@ -822,10 +794,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.all or not names:
         names = sorted(SYMBOLIC_FAMILIES)
     start = time.perf_counter()
-    try:
-        reports = certify_all(tuple(names))
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    reports = certify_all(tuple(names))
 
     failures = 0
     certs = [c for rep in reports for c in rep.certificates]
@@ -839,10 +808,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     gate = None
     if args.gate > 0:
-        try:
-            gate = differential_gate(tuple(names), points=args.gate, seed=args.seed)
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        gate = differential_gate(tuple(names), points=args.gate, seed=args.seed)
         failures += len(gate.disagreements)
 
     if args.format == "json":
@@ -959,14 +925,11 @@ def cmd_exists(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.arbitrary import verdict_from_turns
+    from repro.store import read_json
     from repro.topology.irregular import GraphTopology
 
-    try:
-        with open(args.graph) as fh:
-            spec = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read graph file {args.graph!r}: {exc}")
-    if not isinstance(spec, dict) or "edges" not in spec:
+    spec = read_json(args.graph)
+    if "edges" not in spec:
         raise SystemExit(
             'graph JSON must be an object with an "edges" list;'
             ' optional keys: "nodes", "design"'
@@ -990,12 +953,9 @@ def cmd_exists(args: argparse.Namespace) -> int:
     # key).  Default is the single class X+, which makes the existence
     # check a pure wait-graph drain over the raw links.
     design_text = args.design or str(spec.get("design", "")) or "X+"
-    try:
-        topology = GraphTopology(edges, nodes)
-        sequence = PartitionSequence.parse(design_text)
-        turnset = extract_turns(sequence, validate=False)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    topology = GraphTopology(edges, nodes)
+    sequence = PartitionSequence.parse(design_text)
+    turnset = extract_turns(sequence, validate=False)
 
     verdict = verdict_from_turns(topology, turnset, sequence.all_channels)
 
@@ -1022,10 +982,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
     from repro.obs import RunLedger
 
     ledger = RunLedger(args.ledger or None)
-    try:
-        records = ledger.records()
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    records = ledger.records()
 
     if args.action == "list":
         if not records:
@@ -1556,6 +1513,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
+    except EbdaError as exc:  # the one place library errors become an exit
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

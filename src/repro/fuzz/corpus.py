@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.errors import EbdaError
 from repro.fuzz.design import FuzzDesign
 from repro.fuzz.oracle import DifferentialOracle, TrialResult
-from repro.store import atomic_write, canonical_json, digest
+from repro.store import atomic_write, canonical_json, digest, read_json
 
 __all__ = [
     "CorpusEntry",
@@ -87,12 +87,7 @@ def load_entry(path: str | Path) -> CorpusEntry:
     ``id`` or ``fuzz-<id>.json`` name differs from :func:`entry_id`.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EbdaError(f"cannot load corpus entry {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise EbdaError(f"corpus entry {path} is not a JSON object")
+    data = read_json(path)
     entry = CorpusEntry.from_dict(data)
     named = path.stem.removeprefix("fuzz-") if path.stem.startswith("fuzz-") else entry.id
     if data.get("id") != entry.id or named != entry.id:

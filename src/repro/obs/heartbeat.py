@@ -19,14 +19,13 @@ records, ledgers and reports never embed heartbeat data.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import EbdaError
-from repro.store import atomic_write, canonical_json, default_cache_dir
+from repro.store import atomic_write, canonical_json, default_cache_dir, read_json
 
 __all__ = [
     "HEARTBEAT_SCHEMA",
@@ -142,12 +141,8 @@ _REQUIRED = (
 def load_heartbeat(path: "str | Path") -> dict:
     """Load and validate one heartbeat file; raises :class:`EbdaError` on
     schema violations."""
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EbdaError(f"cannot read heartbeat {path}: {exc}") from None
-    if not isinstance(record, dict) or record.get("record") != "heartbeat":
+    record = read_json(path)
+    if record.get("record") != "heartbeat":
         raise EbdaError(f"{path}: not a heartbeat record")
     if record.get("schema") != HEARTBEAT_SCHEMA:
         raise EbdaError(

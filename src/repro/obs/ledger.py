@@ -27,7 +27,6 @@ who never opt in never touch the filesystem.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -36,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import EbdaError
-from repro.store import canonical_json, default_cache_dir, digest
+from repro.store import canonical_json, default_cache_dir, digest, read_jsonl
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -192,16 +191,7 @@ class RunLedger:
         """Every record, in append order; corrupt lines raise."""
         if not self.path.is_file():
             return []
-        out = []
-        for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EbdaError(f"{self.path}:{lineno}: not valid JSON: {exc}") from None
-            out.append(RunRecord.from_dict(data))
-        return out
+        return [RunRecord.from_dict(data) for data in read_jsonl(self.path)]
 
     def __len__(self) -> int:
         return len(self.records())

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import EbdaError
-from repro.store import write_jsonl
+from repro.store import read_jsonl, write_jsonl
 
 __all__ = [
     "NULL_TRACER",
@@ -256,24 +256,16 @@ def tracing(tracer: "Tracer | NullTracer") -> Iterator["Tracer | NullTracer"]:
 def load_trace(path: "str | Path") -> list[dict[str, Any]]:
     """Load and validate a span JSONL file; raises :class:`EbdaError` on
     any malformed line (wrong schema, unknown event, missing field)."""
-    events = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EbdaError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-        if not isinstance(event, dict):
-            raise EbdaError(f"{path}:{lineno}: event must be a JSON object")
+    events = read_jsonl(path)
+    for index, event in enumerate(events, start=1):
         if event.get("schema") != SPAN_SCHEMA:
             raise EbdaError(
-                f"{path}:{lineno}: unsupported span schema"
+                f"{path}: record {index}: unsupported span schema"
                 f" {event.get('schema')!r} (expected {SPAN_SCHEMA})"
             )
         kind = event.get("event")
         if kind not in _EVENTS:
-            raise EbdaError(f"{path}:{lineno}: unknown event kind {kind!r}")
+            raise EbdaError(f"{path}: record {index}: unknown event kind {kind!r}")
         required = (
             ("span", "parent", "name", "t", "attrs")
             if kind == "span-start"
@@ -282,11 +274,10 @@ def load_trace(path: "str | Path") -> list[dict[str, Any]]:
         missing = [key for key in required if key not in event]
         if missing:
             raise EbdaError(
-                f"{path}:{lineno}: {kind} missing field(s): {', '.join(missing)}"
+                f"{path}: record {index}: {kind} missing field(s): {', '.join(missing)}"
             )
         if not isinstance(event["attrs"], dict):
-            raise EbdaError(f"{path}:{lineno}: attrs must be a JSON object")
-        events.append(event)
+            raise EbdaError(f"{path}: record {index}: attrs must be a JSON object")
     return events
 
 

@@ -30,13 +30,12 @@ of an exported file via :func:`load_metrics` / :func:`render_summary` /
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import EbdaError, SimulationError
-from repro.store import write_jsonl
+from repro.store import read_jsonl, write_jsonl
 from repro.topology.wires import Wire
 
 if TYPE_CHECKING:
@@ -633,33 +632,17 @@ class MetricsCollector:
 # -- reading and rendering exported telemetry ------------------------------------
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"non-strict JSON constant {token!r} in metrics file")
-
-
 def load_metrics(path) -> list[dict]:
     """Load a JSONL telemetry export back into its record dicts.
 
-    Strict: rejects ``NaN``/``Infinity`` tokens, non-object lines, and
-    files whose leading record is not a compatible ``meta`` record.
+    Strict (:func:`repro.store.read_jsonl`), and rejects lines without a
+    ``record`` kind and files whose leading record is not a compatible
+    ``meta`` record.
     """
-    records: list[dict] = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise EbdaError(f"cannot read metrics file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise EbdaError(f"{path}:{lineno}: not strict JSON: {exc}") from exc
-            if not isinstance(record, dict) or "record" not in record:
-                raise EbdaError(f"{path}:{lineno}: not a telemetry record")
-            records.append(record)
+    records = read_jsonl(path)
+    for index, record in enumerate(records, 1):
+        if "record" not in record:
+            raise EbdaError(f"{path}: record {index} is not a telemetry record")
     if not records or records[0].get("record") != "meta":
         raise EbdaError(f"{path}: missing leading meta record")
     if records[0].get("schema") != METRICS_SCHEMA:

@@ -46,6 +46,14 @@ class TestSpansOut:
         )
 
 
+    def test_failing_command_still_writes_spans(self, tmp_path, capsys):
+        spans = tmp_path / "spans.jsonl"
+        with pytest.raises(SystemExit, match="not found"):
+            main(["lint", "xy", "--baseline", str(tmp_path / "absent.json"),
+                  "--spans-out", str(spans)])
+        check_balance(load_trace(spans))
+
+
 class TestLedgerFlag:
     def test_sweep_appends_and_runs_list_shows_it(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
@@ -80,6 +88,14 @@ class TestLedgerFlag:
         capsys.readouterr()
         assert main(["runs", "diff", "--ledger", str(ledger)]) == 0
         assert "no drift" in capsys.readouterr().out
+
+    def test_runs_list_corrupt_ledger_exits_naming_line(self, tmp_path):
+        ledger = tmp_path / "ledger"
+        main(SWEEP + ["--ledger", str(ledger)])
+        with (ledger / "ledger.jsonl").open("a") as fh:
+            fh.write("[1, NaN]\n")
+        with pytest.raises(SystemExit, match=r"ledger\.jsonl:2: "):
+            main(["runs", "list", "--ledger", str(ledger)])
 
     def test_runs_list_empty_ledger(self, tmp_path, capsys):
         assert main(["runs", "list", "--ledger", str(tmp_path)]) == 0

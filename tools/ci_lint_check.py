@@ -32,12 +32,12 @@ import re
 import sys
 from pathlib import Path
 
-from repro.analyze import Analyzer, DesignUnit
+from repro.analyze import NATIVE_LINT, Analyzer, DesignUnit
 from repro.analyze.engine import AnalysisReport
 from repro.analyze.reporters import render_sarif
 from repro.core import catalog
 from repro.fuzz.corpus import load_corpus
-from repro.topology import Dragonfly, FatTree
+from repro.topology import Dragonfly
 from repro.topology.classes import rule_for_design
 from repro.topology.mesh import Mesh
 
@@ -87,22 +87,11 @@ def check_catalog(analyzer: Analyzer) -> tuple[int, list[AnalysisReport]]:
     return failures, reports
 
 
-#: Beyond-mesh catalog designs linted against their native topologies.
-#: ``ignore`` drops rules whose premises do not transfer (EBDA005's torus
-#: wrap rings read dragonfly global 2-rings as unbroken wrap rings);
-#: EBDA012, the dragonfly global-loop analogue, stays enabled and is the
-#: check that actually covers those 2-rings.
-NEW_ENGINE_DESIGNS = (
-    ("dragonfly-minimal", lambda: Dragonfly(4), ("EBDA005",)),
-    ("dragonfly-valiant", lambda: Dragonfly(4), ("EBDA005",)),
-    ("fattree-updown", lambda: FatTree(4, 2, 2), ()),
-)
-
-
 def check_new_engines() -> tuple[int, list[AnalysisReport]]:
     failures = 0
     reports: list[AnalysisReport] = []
-    for name, make_topology, ignore in NEW_ENGINE_DESIGNS:
+    # The beyond-mesh designs, each on its native topology (NATIVE_LINT).
+    for name, (make_topology, ignore) in NATIVE_LINT.items():
         unit = DesignUnit.from_sequence(
             catalog.design(name),
             name=name,

@@ -25,6 +25,10 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from repro.errors import EbdaError
+from repro.sim.metrics import load_metrics
+from repro.store import read_json
+
 REQUIRED_KEYS = {
     "meta": {"schema", "topology", "n_nodes", "routing", "sample_every",
              "cycles", "samples", "n_channels", "n_routers"},
@@ -45,31 +49,15 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"non-strict JSON constant {token!r}")
-
-
 def validate(path: Path) -> list[dict[str, Any]]:
-    """Parse + schema-check one exported JSONL file, line by line."""
-    records: list[dict[str, Any]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line, parse_constant=_reject_constant)
-        except ValueError as exc:
-            fail(f"{path}:{lineno}: {exc}")
-        if not isinstance(record, dict) or "record" not in record:
-            fail(f"{path}:{lineno}: not a telemetry record")
+    """Load one exported JSONL file strictly, then schema-check each record."""
+    records = load_metrics(path)
+    for index, record in enumerate(records, 1):
         kind = record["record"]
         required = REQUIRED_KEYS.get(kind)
         if required is not None and not required <= set(record):
-            fail(f"{path}:{lineno}: {kind} record missing keys "
+            fail(f"{path}: record {index}: {kind} record missing keys "
                  f"{sorted(required - set(record))}")
-        records.append(record)
-
-    if not records or records[0]["record"] != "meta":
-        fail(f"{path}: first record must be meta")
     meta = records[0]
     of = lambda kind: [r for r in records if r["record"] == kind]  # noqa: E731
 
@@ -138,7 +126,7 @@ def deadlock_export(path: Path) -> None:
         fail("V8-telemetry produced no forensics payload")
     path.write_text(json.dumps(forensics, allow_nan=False) + "\n")
 
-    record = json.loads(path.read_text(), parse_constant=_reject_constant)
+    record = read_json(path)
     missing = REQUIRED_KEYS["forensics"] - set(record)
     if missing:
         fail(f"forensics record missing keys {sorted(missing)}")
@@ -162,8 +150,11 @@ def inspect_smoke(path: Path) -> None:
 
 def main() -> None:
     out_path = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("metrics.jsonl")
-    healthy_export(out_path)
-    deadlock_export(out_path.with_suffix(".forensics.json"))
+    try:
+        healthy_export(out_path)
+        deadlock_export(out_path.with_suffix(".forensics.json"))
+    except EbdaError as exc:  # unreadable or non-strict export
+        fail(str(exc))
     inspect_smoke(out_path)
     print("PASS: telemetry export schema holds")
 
