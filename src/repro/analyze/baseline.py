@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.analyze.engine import AnalysisReport
 from repro.errors import EbdaError
-from repro.store import read_json
+from repro.store import atomic_write, read_json
 
 __all__ = ["apply_baseline", "load_baseline", "write_baseline"]
 
@@ -30,7 +30,7 @@ def write_baseline(reports: Sequence[AnalysisReport], path: str | Path) -> int:
         for diag in report.diagnostics:
             entries[diag.fingerprint()] = f"{diag.rule} {diag.design or report.unit_name}"
     payload = {"version": BASELINE_VERSION, "fingerprints": entries}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return len(entries)
 
 

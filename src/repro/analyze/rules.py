@@ -41,11 +41,10 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import product
 
-import networkx as nx
-
 from repro.analyze.diagnostics import Diagnostic, Location, Severity, register_rule
 from repro.analyze.rings import unbroken_rings
 from repro.analyze.unit import DesignUnit
+from repro.cdg.cycles import strongly_connected_components
 from repro.core.channel import NEG, POS, Channel, dim_name
 from repro.core.minimal import min_channels
 from repro.core.regions import covers_all_regions
@@ -581,13 +580,11 @@ def ebda012(unit: DesignUnit) -> Iterator[Diagnostic]:
         for ch in unit.channels
         if ch.cls in produced.get((ch.dim, ch.sign), set())
     ]
-    graph: nx.DiGraph = nx.DiGraph()
-    graph.add_nodes_from(instantiable)
-    for a in instantiable:
-        for b in instantiable:
-            if a != b and unit.turnset.allows(a, b):
-                graph.add_edge(a, b)
-    for component in nx.strongly_connected_components(graph):
+    succ = {
+        a: [b for b in instantiable if a != b and unit.turnset.allows(a, b)]
+        for a in instantiable
+    }
+    for component in strongly_connected_components(succ):
         if len(component) < 2:
             continue
         loop = sorted(component)

@@ -7,30 +7,29 @@ close on a concrete network.  The abstract graph is still useful:
 
 * cross-partition edges must form a DAG over partitions (Theorem 3), which
   :func:`partition_order_graph` checks;
-* the condensation of the abstract graph shows the designer the partition
-  structure a turn set implies.
+* the strongly connected components of the abstract graph show the
+  designer the partition structure a turn set implies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-import networkx as nx
-
+from repro.cdg.cycles import strongly_connected_components
+from repro.cdg.graph import DependencyGraph
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
 
 
-def abstract_graph(turnset: TurnSet) -> "nx.DiGraph":
+def abstract_graph(turnset: TurnSet) -> DependencyGraph:
     """Class-level dependency graph: one node per channel class."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(turnset.channels())
+    graph = DependencyGraph((ch, []) for ch in turnset.channels())
     for t in turnset.turns:
         graph.add_edge(t.src, t.dst)
     return graph
 
 
-def partition_order_graph(design: PartitionSequence, turnset: TurnSet) -> "nx.DiGraph":
+def partition_order_graph(design: PartitionSequence, turnset: TurnSet) -> DependencyGraph:
     """Partition-level graph: an edge P -> Q when some turn crosses P to Q.
 
     Node names are the partition names with unnamed partitions falling
@@ -40,14 +39,13 @@ def partition_order_graph(design: PartitionSequence, turnset: TurnSet) -> "nx.Di
     disambiguated with its index (``P1#0``, ``P1#1``) so distinct
     partitions never merge into one node.
     """
-    graph = nx.DiGraph()
     names = [p.name or f"P{i}" for i, p in enumerate(design)]
     tally = Counter(names)
     names = [
         f"{name}#{i}" if tally[name] > 1 else name
         for i, name in enumerate(names)
     ]
-    graph.add_nodes_from(names)
+    graph = DependencyGraph((name, []) for name in names)
     index = {}
     for i, part in enumerate(design):
         for ch in part:
@@ -87,11 +85,10 @@ def recover_partitions(turnset: TurnSet) -> list[frozenset]:
 
     Channels mutually reachable through allowed turns form the strongly
     connected components of the abstract graph; the components, ordered
-    topologically, are a candidate partition sequence that would generate
-    (a superset of) the turn set.  Useful to reverse-engineer classic turn
-    models into EbDa designs.
+    topologically (the reverse of the order they are found in), are a
+    candidate partition sequence that would generate (a superset of) the
+    turn set.  Useful to reverse-engineer classic turn models into EbDa
+    designs.
     """
-    graph = abstract_graph(turnset)
-    condensed = nx.condensation(graph)
-    order = list(nx.topological_sort(condensed))
-    return [frozenset(condensed.nodes[i]["members"]) for i in order]
+    components = list(strongly_connected_components(abstract_graph(turnset)))
+    return [frozenset(c) for c in reversed(components)]

@@ -19,9 +19,8 @@ Two relations are supported:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
-import networkx as nx
+from collections.abc import Hashable, Iterable, KeysView
+from typing import TYPE_CHECKING
 
 from repro.core.channel import Channel
 from repro.core.extraction import extract_turns
@@ -35,20 +34,41 @@ if TYPE_CHECKING:
     from repro.routing.base import RoutingFunction
 
 
-class DependencyGraph(nx.DiGraph):
-    """The ``DiGraph`` the CDG builders return.
+class DependencyGraph(dict):
+    """A dependency graph: each node mapped to the list of its successors.
 
-    It only counts its edges differently: straight from the successor
-    lists, in C.  ``DiGraph.number_of_edges()`` sums a degree view that
-    it caches on the graph and that points back at it, which costs a
-    Python-level pass over the nodes and leaves the graph a reference
-    cycle: dead CDGs then stay in memory until the cycle collector runs.
+    Nodes and each successor list keep insertion order, and no edge is
+    listed twice.  The graph kernels of :mod:`repro.cdg.cycles` read it as
+    it is; the few ``networkx.DiGraph`` names below are the ones callers
+    use, and ``networkx.DiGraph(graph)`` rebuilds the same graph in the
+    same node and edge order.
     """
 
-    def number_of_edges(self, u=None, v=None) -> int:
+    def add_edge(self, u: Hashable, v: Hashable) -> None:
+        """Add ``u -> v`` (and any missing endpoint) unless already there."""
+        succ = self.setdefault(u, [])
+        self.setdefault(v, [])
+        if v not in succ:
+            succ.append(v)
+
+    @property
+    def nodes(self) -> KeysView:
+        return self.keys()
+
+    @property
+    def edges(self) -> list[tuple]:
+        return [(u, v) for u, succ in self.items() for v in succ]
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return v in self.get(u, ())
+
+    def number_of_nodes(self) -> int:
+        return len(self)
+
+    def number_of_edges(self, u: Hashable | None = None, v: Hashable | None = None) -> int:
         if u is None:
-            return sum(map(len, self._succ.values()))
-        return super().number_of_edges(u, v)
+            return sum(map(len, self.values()))
+        return int(self.has_edge(u, v))
 
 
 def build_turn_cdg(
@@ -56,7 +76,7 @@ def build_turn_cdg(
     turnset: TurnSet,
     channel_classes: Iterable[Channel] | None = None,
     rule: ClassRule = no_classes,
-) -> "nx.DiGraph":
+) -> DependencyGraph:
     """The conservative CDG induced by an allowed-turn set.
 
     Parameters
@@ -65,26 +85,21 @@ def build_turn_cdg(
         The design's channel inventory.  Defaults to every class mentioned
         by the turn set.
     """
-    classes = tuple(channel_classes) if channel_classes is not None else tuple(turnset.channels())
-    wires = wires_for(topology, classes, rule)
-    graph = DependencyGraph()
-    graph.add_nodes_from(wires)
-
-    incoming: dict = {}
-    for wire in wires:
-        incoming.setdefault(wire.dst, []).append(wire)
+    classes = turnset.channels() if channel_classes is None else channel_classes
+    wires = wires_for(topology, dict.fromkeys(classes), rule)  # each class once
     outgoing: dict = {}
     for wire in wires:
         outgoing.setdefault(wire.src, []).append(wire)
 
-    for node, in_wires in incoming.items():
-        for a in in_wires:
-            for b in outgoing.get(node, ()):  # wires leaving the same router
-                # A packet may always continue straight on its own channel
-                # class (same partition, zero-degree, not a turn); any other
-                # transition needs an allowed turn.
-                if a.channel == b.channel or turnset.allows(a.channel, b.channel):
-                    graph.add_edge(a, b)
+    graph = DependencyGraph()
+    for a in wires:
+        # Wires leaving the router a enters.  A packet may always continue
+        # straight on its own channel class (same partition, zero-degree,
+        # not a turn); any other transition needs an allowed turn.
+        graph[a] = [
+            b for b in outgoing.get(a.dst, ())
+            if a.channel == b.channel or turnset.allows(a.channel, b.channel)
+        ]
     return graph
 
 
@@ -94,7 +109,7 @@ def build_design_cdg(
     rule: ClassRule = no_classes,
     *,
     transitions: str = "all",
-) -> "nx.DiGraph":
+) -> DependencyGraph:
     """Conservative CDG of an EbDa design (partitions -> turns -> wires)."""
     turnset = extract_turns(design, transitions=transitions)
     return build_turn_cdg(topology, turnset, design.all_channels, rule)
@@ -104,7 +119,7 @@ def build_routing_cdg(
     topology: Topology,
     routing: "RoutingFunction",
     rule: ClassRule = no_classes,
-) -> "nx.DiGraph":
+) -> DependencyGraph:
     """The textbook CDG of a routing function.
 
     Edge ``a -> b`` exists when, for some destination, a packet that
@@ -116,8 +131,7 @@ def build_routing_cdg(
     for w in wires:
         wire_lookup[(w.src, w.dst, w.channel)] = w
 
-    graph = DependencyGraph()
-    graph.add_nodes_from(wires)
+    graph = DependencyGraph((w, []) for w in wires)
 
     # Per destination, trace the wires packets can actually occupy: start
     # from every injection candidate and follow the routing relation.  An

@@ -13,12 +13,10 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
-from repro.cdg.cycles import first_cycle
-from repro.cdg.graph import build_design_cdg, build_routing_cdg, build_turn_cdg
+from repro.cdg.cycles import first_cycle, simple_cycles, strongly_connected_components
+from repro.cdg.graph import DependencyGraph, build_design_cdg, build_routing_cdg, build_turn_cdg
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
 from repro.topology.wires import Wire
@@ -63,9 +61,9 @@ class Verdict:
         return f"{status}: {self.wires} wires, {self.dependencies} dependencies{extra}"
 
 
-def verdict_for(graph: "nx.DiGraph") -> Verdict:
+def verdict_for(graph: DependencyGraph) -> Verdict:
     """Evaluate an already-built dependency graph."""
-    cycle = first_cycle(graph._succ)
+    cycle = first_cycle(graph)
     return Verdict(cycle is None, graph.number_of_nodes(), graph.number_of_edges(), cycle or ())
 
 
@@ -104,7 +102,7 @@ def verify_routing(
     return verdict_for(build_routing_cdg(topology, routing, rule))
 
 
-def cyclic_core(graph: "nx.DiGraph") -> frozenset[Wire]:
+def cyclic_core(graph: DependencyGraph) -> frozenset[Wire]:
     """Every wire that participates in at least one dependency cycle.
 
     The union of all non-trivial strongly connected components (plus
@@ -114,13 +112,9 @@ def cyclic_core(graph: "nx.DiGraph") -> frozenset[Wire]:
     consistency signal.
     """
     core: set[Wire] = set()
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) > 1:
+    for scc in strongly_connected_components(graph):
+        if len(scc) > 1 or scc[0] in graph[scc[0]]:
             core.update(scc)
-        else:
-            (node,) = scc
-            if graph.has_edge(node, node):
-                core.add(node)
     return frozenset(core)
 
 
@@ -134,7 +128,7 @@ class CycleEnumerationTruncated(Warning):
     """
 
 
-def all_cycles(graph: "nx.DiGraph", limit: int = 50) -> list[tuple[Wire, ...]]:
+def all_cycles(graph: DependencyGraph, limit: int = 50) -> list[tuple[Wire, ...]]:
     """Up to ``limit`` simple cycles of a dependency graph (diagnostics).
 
     When the graph holds more than ``limit`` simple cycles the list is cut
@@ -142,7 +136,7 @@ def all_cycles(graph: "nx.DiGraph", limit: int = 50) -> list[tuple[Wire, ...]]:
     truncation is signalled, never silent.
     """
     out: list[tuple[Wire, ...]] = []
-    for cycle in nx.simple_cycles(graph):
+    for cycle in simple_cycles(graph):
         if len(out) >= limit:
             warnings.warn(
                 f"cycle enumeration truncated at limit={limit}; the graph"
@@ -151,5 +145,5 @@ def all_cycles(graph: "nx.DiGraph", limit: int = 50) -> list[tuple[Wire, ...]]:
                 stacklevel=2,
             )
             break
-        out.append(tuple(cycle))
+        out.append(cycle)
     return out

@@ -33,7 +33,7 @@ from repro.obs.trace import current_tracer
 from repro.sim.faults import FaultSchedule, RecoveryPolicy
 from repro.sim.runner import RunConfig, run_point
 from repro.sim.specs import EbdaDesignFactory, resolve_routing_factory
-from repro.store import canonical_json, digest
+from repro.store import atomic_write, canonical_json, digest
 from repro.topology.mesh import Mesh
 
 from repro.chaos.checkpoint import CampaignCheckpoint
@@ -360,11 +360,10 @@ class CampaignReport:
         are pure functions of the config and those bytes — so the whole
         file is byte-identical across reruns and resumes.
         """
-        path = Path(path)
         lines = [canonical_json(self.meta()).encode()]
         lines.extend(self.trial_bytes)
         lines.extend(canonical_json(s).encode() for s in self.survival())
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        atomic_write(path, b"\n".join(lines) + b"\n")
         return len(lines)
 
     def render(self) -> str:

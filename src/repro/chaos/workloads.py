@@ -49,7 +49,7 @@ from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError
 from repro.sim.flit import Packet
-from repro.store import canonical_json, digest, read_jsonl
+from repro.store import atomic_write, canonical_json, digest, read_jsonl
 from repro.topology.base import Coord, Topology
 
 __all__ = [
@@ -201,7 +201,6 @@ class WorkloadTrace:
         ``replay`` traces follow with one ``injection`` record per event,
         so the on-disk format doubles as a language-agnostic trace format.
         """
-        path = Path(path)
         meta = {"record": "workload-meta", **self.to_dict()}
         meta.pop("events", None)
         lines = [json.dumps(meta, sort_keys=True, allow_nan=False)]
@@ -219,7 +218,7 @@ class WorkloadTrace:
                     allow_nan=False,
                 )
             )
-        path.write_text("\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
         return len(lines)
 
     # -- materialisation --------------------------------------------------------

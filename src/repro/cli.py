@@ -92,6 +92,7 @@ from repro.analysis import format_turn_table
 from repro.cdg import verify_design
 from repro.core import PartitionSequence, catalog, extract_turns, partition_vc_budget
 from repro.errors import EbdaError, FaultError
+from repro.store import atomic_write
 from repro.topology import Mesh, NAMED_RULES
 from repro.topology.classes import rule_for_design
 
@@ -417,8 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(report.summary())
     print(report.stage_summary())
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        atomic_write(args.report, json.dumps(report.to_dict(), indent=2))
         print(f"report written to {args.report}")
     if args.metrics_out:
         # Per-point compact summaries (full per-channel series belong to
@@ -728,8 +728,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         rendered = render_text(reports, verbose=args.verbose)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rendered + "\n")
+        atomic_write(args.output, rendered + "\n")
         print(f"{args.format} report written to {args.output}")
     else:
         print(rendered)
@@ -865,22 +864,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
         rendered = "\n".join(lines)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
+        atomic_write(args.out, rendered + "\n")
         print(f"{args.format} certification report written to {args.out}")
     else:
         print(rendered)
 
     if args.cert_dir:
-        import os
-
-        os.makedirs(args.cert_dir, exist_ok=True)
         for rep in reports:
-            path = os.path.join(args.cert_dir, f"{rep.family}.json")
-            with open(path, "w") as fh:
-                fh.write(
-                    json.dumps([c.to_dict() for c in rep.certificates]) + "\n"
-                )
+            certificates = json.dumps([c.to_dict() for c in rep.certificates])
+            atomic_write(f"{args.cert_dir}/{rep.family}.json", certificates + "\n")
         print(f"{len(reports)} certificate files written to {args.cert_dir}")
 
     _ledger_certify(names, reports, failures, time.perf_counter() - start)

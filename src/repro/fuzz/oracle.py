@@ -79,12 +79,11 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.analyze.engine import static_errors as _static_errors
 from repro.analyze.rings import unbroken_wrap_rings
 from repro.analyze.unit import DesignUnit
-from repro.cdg.graph import build_routing_cdg, build_turn_cdg
+from repro.cdg.cycles import simple_cycles
+from repro.cdg.graph import DependencyGraph, build_routing_cdg, build_turn_cdg
 from repro.cdg.verify import Verdict, cyclic_core, verdict_for
 from repro.core.arbitrary import (
     ArbitraryVerdict,
@@ -318,7 +317,7 @@ class DifferentialOracle:
         errors = _static_errors(unit)
         return (not errors, errors)
 
-    def cdg_graph(self, design: FuzzDesign) -> "nx.DiGraph":
+    def cdg_graph(self, design: FuzzDesign) -> DependencyGraph:
         seq, turnset = design.compile()
         topology = design.topology()
         rule = design.class_rule()
@@ -501,7 +500,7 @@ class DifferentialOracle:
         turnset: TurnSet,
         topology: Topology,
         rule: ClassRule,
-        graph: "nx.DiGraph",
+        graph: DependencyGraph,
         verdict: Verdict,
         native_routing: RoutingFunction | None = None,
     ) -> tuple[list[dict], object]:
@@ -645,7 +644,7 @@ class DifferentialOracle:
         topology: Topology,
         classes: tuple[Channel, ...],
         rule: ClassRule,
-        graph: "nx.DiGraph",
+        graph: DependencyGraph,
     ) -> tuple[dict | None, object]:
         profile = self.profile
         cycle = self._pick_cycle(graph)
@@ -767,7 +766,7 @@ class DifferentialOracle:
         if divergences:
             record["backend_divergences"] = tuple(divergences)
 
-    def _pick_cycle(self, graph: "nx.DiGraph") -> tuple[Wire, ...] | None:
+    def _pick_cycle(self, graph: DependencyGraph) -> tuple[Wire, ...] | None:
         """A small node-simple CDG cycle (distinct routers), if any exists.
 
         Worms can only be parked unambiguously along a cycle whose wires
@@ -779,7 +778,7 @@ class DifferentialOracle:
         for bound in (3, 4, 6, 8, 12):
             candidates = []
             seen = 0
-            for nodes in nx.simple_cycles(graph, length_bound=bound):
+            for nodes in simple_cycles(graph, length_bound=bound):
                 seen += 1
                 if seen > limit:
                     break
@@ -788,7 +787,7 @@ class DifferentialOracle:
                 sources = {w.src for w in nodes}
                 if len(sources) != len(nodes):
                     continue
-                candidates.append(_canonical_rotation(tuple(nodes)))
+                candidates.append(_canonical_rotation(nodes))
             if candidates:
                 return min(
                     candidates,
@@ -800,9 +799,9 @@ class DifferentialOracle:
 def _canonical_rotation(cycle: tuple[Wire, ...]) -> tuple[Wire, ...]:
     """Rotate a cycle to start at its lexicographically smallest wire.
 
-    ``nx.simple_cycles`` emits an arbitrary rotation (it varies with the
-    process hash seed), so selection must compare rotation-invariant forms
-    to keep crafted-ring runs byte-for-byte reproducible across workers.
+    ``simple_cycles`` starts a cycle wherever its search entered it, so
+    selection compares rotation-invariant forms: the crafted ring is then
+    the smallest cycle, whatever order the search found the cycles in.
     """
     start = min(range(len(cycle)), key=lambda i: str(cycle[i]))
     return cycle[start:] + cycle[:start]

@@ -11,23 +11,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.cdg.cycles import first_cycle
+from repro.cdg.graph import DependencyGraph
 from repro.topology.wires import Wire
 
 if TYPE_CHECKING:
     from repro.sim.network import NetworkSimulator
 
 
-def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
+def build_waitfor_graph(sim: "NetworkSimulator") -> DependencyGraph:
     """Packet-level wait-for graph of the simulator's current state.
 
     Edge ``p -> q``: packet *p* cannot progress until *q* releases a
     resource (*q* owns a wire *p* wants, or *q*'s flits occupy buffer
     space *p* needs).
     """
-    graph = nx.DiGraph()
+    graph = DependencyGraph()
 
     def add_wait(p: int, blocking_wire: Wire) -> None:
         ws = sim.state[blocking_wire]
@@ -50,7 +49,7 @@ def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
         if flit.packet.dst == router:
             continue  # will eject; not blocked
         p = flit.pid
-        graph.add_node(p)
+        graph.setdefault(p, [])
         if flit.is_head and (wire, p) not in sim.route_assignment:
             # VC-allocation blocked: waits on every candidate wire's state.
             target = sim.routing.target_of(flit.packet, router)
@@ -69,7 +68,7 @@ def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
         if inj is None or inj.done:
             continue
         p = inj.packet.pid
-        graph.add_node(p)
+        graph.setdefault(p, [])
         if inj.out_wire is None:
             target = sim.routing.target_of(inj.packet, node)
             for nxt, ch in sim.routing.candidates(node, target, None):
@@ -84,7 +83,7 @@ def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
 
 def waitfor_cycle(sim: "NetworkSimulator") -> list[int] | None:
     """A cyclic wait among packet ids, or None when no cycle exists."""
-    cycle = first_cycle(build_waitfor_graph(sim)._succ)
+    cycle = first_cycle(build_waitfor_graph(sim))
     return None if cycle is None else list(cycle)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import EbdaError, SimulationError
-from repro.store import read_jsonl, write_jsonl
+from repro.store import atomic_write, read_jsonl, write_jsonl
 from repro.topology.wires import Wire
 
 if TYPE_CHECKING:
@@ -608,14 +608,16 @@ class MetricsCollector:
     def to_csv(self, path) -> int:
         """Write the global sampled series as CSV; returns the row count."""
         import csv
+        import io
 
         names = list(self.series)
         rows = list(zip(*(self.series[n] for n in names)))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cycle"] + names)
-            for row in rows:
-                writer.writerow([row[0][0]] + [value for _c, value in row])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["cycle"] + names)
+        for row in rows:
+            writer.writerow([row[0][0]] + [value for _c, value in row])
+        atomic_write(path, buffer.getvalue())
         return len(rows)
 
     # -- rendering --------------------------------------------------------------

@@ -17,7 +17,7 @@ class TestAbstractGraph:
         # (X+ -> Y- -> X+); Theorem 1 is about the *concrete* graph.
         seq = PartitionSequence.parse("X+ X- Y-")
         graph = abstract_graph(extract_turns(seq))
-        assert not nx.is_directed_acyclic_graph(graph)
+        assert not nx.is_directed_acyclic_graph(nx.DiGraph(graph))
 
     def test_nodes_are_channel_classes(self):
         seq = PartitionSequence.parse("X+ -> Y+")
@@ -35,7 +35,7 @@ class TestPartitionOrderGraph:
     def test_dag_for_many_partitions(self):
         seq = PartitionSequence.parse("X+ -> Y+ -> X- -> Y-")
         pog = partition_order_graph(seq, extract_turns(seq))
-        assert nx.is_directed_acyclic_graph(pog)
+        assert nx.is_directed_acyclic_graph(nx.DiGraph(pog))
         assert pog.number_of_edges() == 6  # all ascending pairs
 
 

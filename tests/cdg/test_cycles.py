@@ -1,4 +1,6 @@
-"""The linear cycle-search kernel: networkx's witness, each list opened once."""
+"""The graph kernels checked against networkx, the independent reference:
+the linear cycle search (networkx's witness, each list opened once), the
+SCCs, the bounded cycle enumeration and the successor-map graph type."""
 
 import ast
 from collections.abc import Mapping
@@ -10,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.arbitrary
-from repro.cdg import build_turn_cdg, verdict_for
-from repro.cdg.cycles import first_cycle
-from repro.core import PartitionSequence, extract_turns
+from repro.cdg import build_routing_cdg, build_turn_cdg, recover_partitions, verdict_for
+from repro.cdg.cycles import first_cycle, simple_cycles, strongly_connected_components
+from repro.cdg.graph import DependencyGraph
+from repro.core import PartitionSequence, catalog, channels, extract_turns, turnset_from_strings
+from repro.routing import UnrestrictedAdaptive
 from repro.topology import Mesh
 
 
@@ -48,7 +52,7 @@ def digraphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(digraphs())
 def test_matches_networkx_find_cycle(graph):
-    assert first_cycle(graph._succ) == nx_witness(graph)
+    assert first_cycle(graph) == nx_witness(graph)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +74,7 @@ def test_small_graphs(edges, nodes, expected):
     graph = nx.DiGraph()
     graph.add_nodes_from(nodes)
     graph.add_edges_from(edges)
-    assert first_cycle(graph._succ) == expected == nx_witness(graph)
+    assert first_cycle(graph) == expected == nx_witness(graph)
 
 
 def test_plain_mapping_and_graph_adj():
@@ -133,8 +137,8 @@ def test_each_adjacency_list_opened_at_most_once():
 
 def test_each_list_opened_at_most_once_on_a_cyclic_catalog_control():
     graph = build_turn_cdg(Mesh(6, 6), all_turns(), ALL_TURNS.all_channels)
-    counting = CountingSucc(graph._succ)
-    assert first_cycle(counting) == nx_witness(graph)
+    counting = CountingSucc(graph)
+    assert first_cycle(counting) == nx_witness(nx.DiGraph(graph))
     assert max(counting.opened.values()) == 1
 
 
@@ -143,7 +147,90 @@ def test_all_turns_control_same_witness_as_networkx(radix):
     graph = build_turn_cdg(Mesh(radix, radix), all_turns(), ALL_TURNS.all_channels)
     verdict = verdict_for(graph)
     assert not verdict.acyclic
-    assert verdict.cycle == nx_witness(graph)
+    assert verdict.cycle == nx_witness(nx.DiGraph(graph))
+
+
+def rotation_canonical(cycle) -> tuple:
+    """A cycle rotated to start at its smallest node."""
+    cycle = tuple(cycle)
+    start = cycle.index(min(cycle))
+    return cycle[start:] + cycle[:start]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_partition_matches_networkx(graph):
+    ours = [frozenset(c) for c in strongly_connected_components(graph)]
+    assert len(ours) == len(set(ours))
+    assert set(ours) == {frozenset(c) for c in nx.strongly_connected_components(graph)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.sampled_from([None, 1, 2, 3, 6]))
+def test_simple_cycles_match_networkx(graph, length_bound):
+    ours = [rotation_canonical(c) for c in simple_cycles(graph, length_bound)]
+    assert len(ours) == len(set(ours))
+    reference = nx.simple_cycles(graph, length_bound=length_bound)
+    assert set(ours) == {rotation_canonical(c) for c in reference}
+
+
+def test_simple_cycles_cover_self_loops_and_two_cycles():
+    succ = {"a": ["a", "b"], "b": ["a", "c"], "c": ["b", "c"]}
+    assert next(simple_cycles(succ)) == ("a",)
+    assert {rotation_canonical(c) for c in simple_cycles(succ, 2)} == {
+        ("a",), ("c",), ("a", "b"), ("b", "c"),
+    }
+
+
+WEST_FIRST = catalog.design("west-first")
+CLASSES = channels("X+ X- Y+ Y- Z+ Z-")
+TURNS = [f"{a}->{b}" for a in CLASSES for b in CLASSES if a != b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(TURNS), min_size=1, max_size=14, unique=True))
+def test_recover_partitions_is_a_topological_order_of_the_sccs(specs):
+    turnset = turnset_from_strings(specs)
+    groups = recover_partitions(turnset)
+    reference = nx.DiGraph([(t.src, t.dst) for t in turnset.turns])
+    assert set(groups) == {frozenset(c) for c in nx.strongly_connected_components(reference)}
+    position = {ch: i for i, group in enumerate(groups) for ch in group}
+    assert all(position[t.src] <= position[t.dst] for t in turnset.turns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_add_edge_keeps_networkx_node_and_edge_order(graph):
+    ours = DependencyGraph()
+    for node in graph:
+        ours.setdefault(node, [])
+    for u, v in list(graph.edges) * 2:  # a repeated edge is not added twice
+        ours.add_edge(u, v)
+    assert list(ours.nodes) == list(graph.nodes)
+    assert ours.edges == list(graph.edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_turn_cdg(Mesh(4, 4), all_turns(), ALL_TURNS.all_channels),
+        lambda: build_turn_cdg(
+            Mesh(4, 4), extract_turns(WEST_FIRST), WEST_FIRST.all_channels
+        ),
+        lambda: build_routing_cdg(Mesh(4, 4), UnrestrictedAdaptive(Mesh(4, 4))),
+    ],
+    ids=["all-turns", "west-first", "routed"],
+)
+def test_dependency_graph_round_trips_through_networkx(build):
+    graph = build()
+    reference = nx.DiGraph(graph)
+    assert list(reference.nodes) == list(graph.nodes)
+    assert list(reference.edges) == graph.edges
+    assert graph.number_of_nodes() == reference.number_of_nodes()
+    assert graph.number_of_edges() == reference.number_of_edges() > 0
+    a, b = graph.edges[0]
+    assert graph.has_edge(a, b) and (a, b) in graph.edges
+    assert not graph.has_edge(b, "absent") and not graph.has_edge("absent", a)
 
 
 SRC = Path(repro.core.arbitrary.__file__).parents[1]

@@ -47,26 +47,26 @@ class TestTurnCDG:
 class TestDesignCDG:
     def test_acyclic_for_north_last(self, mesh4, north_last_design):
         graph = build_design_cdg(mesh4, north_last_design)
-        assert nx.is_directed_acyclic_graph(graph)
+        assert nx.is_directed_acyclic_graph(nx.DiGraph(graph))
 
     def test_cyclic_for_theorem1_violation(self, mesh4):
         bad = PartitionSequence.parse("X+ X- Y+ Y-")
         ts = extract_turns(bad, validate=False)
         graph = build_turn_cdg(mesh4, ts, bad.all_channels)
-        assert not nx.is_directed_acyclic_graph(graph)
+        assert not nx.is_directed_acyclic_graph(nx.DiGraph(graph))
 
 
 class TestRoutingCDG:
     def test_xy_routing_cdg_acyclic(self, mesh4):
         graph = build_routing_cdg(mesh4, xy_routing(mesh4))
-        assert nx.is_directed_acyclic_graph(graph)
+        assert nx.is_directed_acyclic_graph(nx.DiGraph(graph))
         # XY: only X->X, X->Y and Y->Y dependencies
         for a, b in graph.edges:
             assert not (a.channel.dim == 1 and b.channel.dim == 0)
 
     def test_unrestricted_cdg_cyclic(self, mesh4):
         graph = build_routing_cdg(mesh4, UnrestrictedAdaptive(mesh4))
-        assert not nx.is_directed_acyclic_graph(graph)
+        assert not nx.is_directed_acyclic_graph(nx.DiGraph(graph))
 
     def test_only_feasible_dependencies(self, mesh4):
         # A westbound arrival is never paired with an eastbound departure

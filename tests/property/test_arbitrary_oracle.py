@@ -64,12 +64,12 @@ def test_existence_verdict_matches_cdg_acyclicity(edges, turnset):
     topology = GraphTopology(edges)
     verdict = verdict_from_turns(topology, turnset, CHANNELS)
     graph = build_turn_cdg(topology, turnset, CHANNELS)
-    assert verdict.safe == nx.is_directed_acyclic_graph(graph)
+    assert verdict.safe == nx.is_directed_acyclic_graph(nx.DiGraph(graph))
     if not verdict.safe:
         # The peeled core is the set of wires from which a cycle stays
         # reachable; it contains every wire on a cyclic SCC.
         cyclic = set()
-        for scc in nx.strongly_connected_components(graph):
+        for scc in nx.strongly_connected_components(nx.DiGraph(graph)):
             members = list(scc)
             if len(members) > 1 or graph.has_edge(members[0], members[0]):
                 cyclic.update(members)
@@ -128,7 +128,7 @@ def test_routed_relation_mirrors_routed_cdg_on_dragonfly():
     graph_edges = {(str(a), str(b)) for a, b in graph.edges}
     assert relation_edges == graph_edges
     assert existence_verdict(relation).safe == nx.is_directed_acyclic_graph(
-        graph
+        nx.DiGraph(graph)
     )
 
 

@@ -253,3 +253,42 @@ def test_no_json_parsing_outside_the_store():
             if parses:
                 offenders.append(f"{rel}:{node.lineno}")
     assert offenders == [], f"read JSON through repro.store instead: {offenders}"
+
+
+#: The one write-mode ``open`` allowed outside the store: the run ledger's
+#: append, which adds a line and never rewrites what is there.
+APPEND_ONLY = {("obs/ledger.py", "a")}
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """The constant mode of an ``open(path, mode)`` or ``path.open(mode)``."""
+    candidates = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[:2]
+    for arg in candidates:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            if arg.value and set(arg.value) <= set("rwxabt+"):
+                return arg.value
+    return None
+
+
+def test_no_raw_file_writes_outside_the_store():
+    package = ROOT / "src" / "repro"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        if rel == "store.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes"):
+                writes = True
+            elif name == "open":
+                mode = _open_mode(node) or "r"
+                writes = bool(set(mode) & set("wax+")) and (rel, mode) not in APPEND_ONLY
+            else:
+                writes = False
+            if writes:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == [], f"write files through repro.store.atomic_write: {offenders}"
