@@ -49,7 +49,7 @@ from repro.analyze.symbolic import (
     differential_gate,
     symbolic_family,
 )
-from repro.analyze.unit import NATIVE_LINT, DesignUnit, TableProtocol
+from repro.analyze.unit import NATIVE_LINT, DesignUnit, TableProtocol, default_lint_unit
 
 __all__ = [
     "NATIVE_LINT",
@@ -74,6 +74,7 @@ __all__ = [
     "certify_all",
     "check_certificate",
     "check_certificates",
+    "default_lint_unit",
     "differential_gate",
     "link_rings",
     "lint_design",

@@ -29,6 +29,8 @@ from repro.analyze.symbolic.certificate import (
     Certificate,
     canonical_json,
     content_digest,
+    describe_domain,
+    describe_region,
     region_all,
     region_holds,
     region_k_ge,
@@ -82,6 +84,8 @@ __all__ = [
     "check_family_at",
     "concrete_errors",
     "content_digest",
+    "describe_domain",
+    "describe_region",
     "differential_gate",
     "region_all",
     "region_holds",

@@ -28,6 +28,8 @@ __all__ = [
     "Certificate",
     "canonical_json",
     "content_digest",
+    "describe_domain",
+    "describe_region",
     "region_all",
     "region_holds",
     "region_k_ge",
@@ -87,6 +89,27 @@ def region_holds(region: dict[str, Any], n: int, k: int) -> bool:
     if kind == "k-ge":
         return k >= int(region["k0"])
     raise ValueError(f"unknown region kind {kind!r}")
+
+
+def describe_region(region: dict[str, Any]) -> str:
+    """A violation region in words, e.g. ``all n >= 2``."""
+    kind = region.get("kind")
+    if kind == "none":
+        return "nowhere"
+    if kind == "all":
+        return "every (n, k) in the domain"
+    if kind == "n-ge":
+        return f"all n >= {region['n0']}"
+    if kind == "k-ge":
+        return f"all k >= {region['k0']}"
+    return f"region {region!r}"
+
+
+def describe_domain(domain: dict[str, Any]) -> str:
+    """A free-variable domain in words, e.g. ``n >= 2, k >= 2``."""
+    n = domain["n"]
+    shape = f"n >= {n['min']}" if n["max"] is None else f"n = {n['min']}"
+    return f"{shape}, k >= {domain['k']['min']}"
 
 
 # ---------------------------------------------------------------------------

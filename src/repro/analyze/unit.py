@@ -18,17 +18,19 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Protocol, runtime_checkable
 
+from repro.core.catalog import design as catalog_design
 from repro.core.channel import Channel
 from repro.core.extraction import extract_turns
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
 from repro.errors import EbdaError
 from repro.topology.base import Topology
-from repro.topology.classes import ClassRule, no_classes
+from repro.topology.classes import ClassRule, no_classes, rule_for_design
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
+from repro.topology.mesh import Mesh
 
-__all__ = ["NATIVE_LINT", "DesignUnit", "TableProtocol"]
+__all__ = ["NATIVE_LINT", "DesignUnit", "TableProtocol", "default_lint_unit"]
 
 #: Beyond-mesh catalog designs lint on their native topologies: design
 #: name -> (topology factory, rule IDs to ignore).  The dragonfly pair
@@ -158,3 +160,26 @@ class DesignUnit:
         legal; anything else requires an explicit turn.
         """
         return src is None or src == dst or self.turnset.allows(src, dst)
+
+
+def default_lint_unit(
+    name: str, sequence: PartitionSequence | None = None
+) -> tuple[DesignUnit, tuple[str, ...]]:
+    """The unit a design lints as by default, and the rule IDs it also ignores.
+
+    A :data:`NATIVE_LINT` design binds to its native topology, any other
+    to a radix-4 mesh over its dimensions; the rule is ``rule_for_design``.
+    ``sequence`` defaults to the catalog design ``name``.
+    """
+    if sequence is None:
+        sequence = catalog_design(name)
+    if name in NATIVE_LINT:
+        make_topology, ignore = NATIVE_LINT[name]
+        topology = make_topology()
+    else:
+        n_dims = len({ch.dim for ch in sequence.all_channels})
+        topology, ignore = Mesh(*((4,) * max(1, n_dims))), ()
+    unit = DesignUnit.from_sequence(
+        sequence, name=name, topology=topology, rule=rule_for_design(name)
+    )
+    return unit, ignore

@@ -80,13 +80,13 @@ def run_point(
         result = engine.run_point(topology, routing, config, rule).result
     else:
         result = _run_point(topology, routing, config, rule)
-    _ledger_point(
+    record_point(
         topology, routing, config, rule, result, time.perf_counter() - started
     )
     return result
 
 
-def _ledger_point(topology, routing, config, rule, result, wall_s) -> None:
+def record_point(topology, routing, config, rule, result, wall_s) -> None:
     """Append a ``run_point`` ledger record when a ledger is configured.
 
     Identity is the version-free :func:`~repro.sim.parallel.point_token`
@@ -167,16 +167,13 @@ def verify(
     from repro.cdg.verify import verify_design, verify_routing, verify_turnset
 
     if isinstance(subject, str):
-        from repro.core import catalog
+        from repro.core.catalog import resolve_design
         from repro.topology.classes import rule_for_design
 
-        if subject in catalog.NAMED_DESIGNS:
-            design = catalog.design(subject)
-            if rule is None:
-                rule = rule_for_design(subject)
-        else:
-            design = PartitionSequence.parse(subject).validate()
-        return verify_design(design, topology, rule if rule is not None else no_classes)
+        design, name = resolve_design(subject)
+        if rule is None:
+            rule = rule_for_design(name)
+        return verify_design(design, topology, rule)
     rule = rule if rule is not None else no_classes
     if isinstance(subject, PartitionSequence):
         return verify_design(subject, topology, rule)

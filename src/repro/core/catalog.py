@@ -241,3 +241,15 @@ def design(name: str) -> PartitionSequence:
     except KeyError:
         known = ", ".join(sorted(NAMED_DESIGNS))
         raise KeyError(f"unknown design {name!r}; known designs: {known}") from None
+
+
+def resolve_design(text: str, *, validate: bool = True) -> tuple[PartitionSequence, str]:
+    """A catalog name or arrow notation -> ``(design, catalog name or "")``.
+
+    The name picks the class rule (``rule_for_design``); ``validate=False``
+    skips the theorem check, for the linter, which reports violations.
+    """
+    if text in NAMED_DESIGNS:
+        return design(text), text
+    sequence = PartitionSequence.parse(text)
+    return (sequence.validate() if validate else sequence), ""

@@ -1,9 +1,9 @@
 """The run ledger: append-only, content-addressed provenance for every run.
 
 Each ``run_point`` / ``sweep`` / ``fuzz`` / ``chaos`` / ``lint`` /
-``certify`` invocation can append one :class:`RunRecord` to an on-disk
-:class:`RunLedger` — a single append-only JSON Lines file.  A record
-splits into two halves:
+``certify`` / ``exists`` / ``experiment`` invocation can append one
+:class:`RunRecord` to an on-disk :class:`RunLedger` — a single
+append-only JSON Lines file.  A record splits into two halves:
 
 * **identity** — what was run: the record kind, the spec token (design /
   routing / campaign token), backend, seed, and the library + Python
@@ -53,7 +53,7 @@ __all__ = [
 LEDGER_SCHEMA = 1
 
 #: Record kinds the ledger accepts (one per pipeline entry point).
-RUN_KINDS = ("run_point", "sweep", "fuzz", "chaos", "lint", "certify")
+RUN_KINDS = ("run_point", "sweep", "fuzz", "chaos", "lint", "certify", "exists", "experiment")
 
 
 def default_ledger_dir() -> Path:

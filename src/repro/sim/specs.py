@@ -61,20 +61,14 @@ class EbdaDesignFactory:
     fallback: str = "none"
 
     def __call__(self, topology: Topology) -> "RoutingFunction":
-        from repro.core import PartitionSequence, catalog
+        from repro.core.catalog import resolve_design
         from repro.routing.table import TurnTableRouting
-        from repro.topology.classes import no_classes, rule_for_design
+        from repro.topology.classes import rule_for_design
 
-        if self.spec in catalog.NAMED_DESIGNS:
-            design = catalog.design(self.spec)
-            rule = rule_for_design(self.spec)
-            label = f"ebda:{self.spec}"
-        else:
-            design = PartitionSequence.parse(self.spec).validate()
-            rule = no_classes
-            label = f"EbDa[{design.arrow_notation()}]"
+        design, name = resolve_design(self.spec)
+        label = f"ebda:{name}" if name else f"EbDa[{design.arrow_notation()}]"
         return TurnTableRouting(
-            topology, design, rule,
+            topology, design, rule_for_design(name),
             directions=self.directions, fallback=self.fallback, label=label,
         )
 

@@ -80,13 +80,13 @@ def _run_both(
 
 
 def check_catalog() -> int:
+    from repro.cli import parse_mesh
     from repro.sim.specs import resolve_routing_factory
-    from repro.topology import Mesh
     from repro.topology.classes import rule_for_design
 
     failures = 0
     for name, mesh_spec, rate in CATALOG_POINTS:
-        topology = Mesh(*(int(k) for k in mesh_spec.split("x")))
+        topology = parse_mesh(mesh_spec)
         routing = resolve_routing_factory(name)(topology)
         rule = rule_for_design(name)
         started = time.perf_counter()

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from repro.analyze import certify_all, check_certificate, check_certificates
 from repro.analyze.symbolic import SYMBOLIC_FAMILIES, differential_gate, symbolic_family
+from repro.analyze.symbolic.certificate import describe_domain
 
 #: Families that must be proven clean over their entire (n, k) domain.
 MUST_BE_CLEAN = (
@@ -89,10 +90,8 @@ def check_prover() -> tuple[int, list]:
             print(f"FAIL: {name} should be proven clean, violates"
                   f" {', '.join(rep.violation_rules)}")
         else:
-            design = symbolic_family(name)
-            shape = (f"n = {design.n_fixed}" if design.n_fixed is not None
-                     else f"all n >= {design.n_min}")
-            print(f"certify {name} [ok] clean over {shape}, k >= {design.k_min}")
+            domain = describe_domain(symbolic_family(name).domain())
+            print(f"certify {name} [ok] clean over {domain}")
     for name, rule in MUST_VIOLATE.items():
         rep = by_name.get(name)
         if rep is None:

@@ -32,14 +32,12 @@ import re
 import sys
 from pathlib import Path
 
-from repro.analyze import NATIVE_LINT, Analyzer, DesignUnit
+from repro.analyze import NATIVE_LINT, Analyzer, DesignUnit, default_lint_unit
 from repro.analyze.engine import AnalysisReport
 from repro.analyze.reporters import render_sarif
-from repro.core import catalog
 from repro.fuzz.corpus import load_corpus
 from repro.topology import Dragonfly
 from repro.topology.classes import rule_for_design
-from repro.topology.mesh import Mesh
 
 COMMITTED_CORPUS = Path("tests/fuzz/corpus")
 SCHEMA_PATH = Path(__file__).with_name("sarif-2.1.0-subset.schema.json")
@@ -58,57 +56,24 @@ GATE_DESIGNS = (
 )
 
 
-def catalog_unit(name: str) -> DesignUnit:
-    design = catalog.design(name)
-    n_dims = len({ch.dim for ch in design.all_channels})
-    return DesignUnit.from_sequence(
-        design,
-        name=name,
-        topology=Mesh(*((4,) * n_dims)),
-        rule=rule_for_design(name),
-    )
-
-
-def check_catalog(analyzer: Analyzer) -> tuple[int, list[AnalysisReport]]:
+def check_default_units() -> tuple[int, list[AnalysisReport]]:
+    """Catalog and new-engines gates: each design lints clean as its
+    default unit (the NATIVE_LINT designs on their native topologies)."""
     failures = 0
     reports: list[AnalysisReport] = []
-    for name in GATE_DESIGNS:
-        report = analyzer.run(catalog_unit(name))
-        reports.append(report)
-        if report.errors:
-            failures += 1
-            print(f"FAIL: {name} should lint clean but raised:")
-            for diag in report.errors:
-                print(f"  {diag.render()}")
-        else:
-            print(f"lint {name} [ok] {len(report.rules_run)} rules,"
-                  f" {report.counts['warning']} warning(s),"
-                  f" {report.counts['note']} note(s)")
-    return failures, reports
-
-
-def check_new_engines() -> tuple[int, list[AnalysisReport]]:
-    failures = 0
-    reports: list[AnalysisReport] = []
-    # The beyond-mesh designs, each on its native topology (NATIVE_LINT).
-    for name, (make_topology, ignore) in NATIVE_LINT.items():
-        unit = DesignUnit.from_sequence(
-            catalog.design(name),
-            name=name,
-            topology=make_topology(),
-            rule=rule_for_design(name),
-        )
+    for name in GATE_DESIGNS + tuple(NATIVE_LINT):
+        unit, ignore = default_lint_unit(name)
         report = Analyzer(ignore=ignore).run(unit)
         reports.append(report)
         if report.errors:
             failures += 1
-            print(f"FAIL: {name} should lint clean on its native topology:")
+            print(f"FAIL: {name} should lint clean on {unit.topology!r} but raised:")
             for diag in report.errors:
                 print(f"  {diag.render()}")
         else:
             ignored = f" (ignoring {', '.join(ignore)})" if ignore else ""
-            print(f"lint {name} [ok] native topology{ignored},"
-                  f" {report.counts['warning']} warning(s),"
+            print(f"lint {name} [ok] {len(report.rules_run)} rules on {unit.topology!r}"
+                  f"{ignored}, {report.counts['warning']} warning(s),"
                   f" {report.counts['note']} note(s)")
     return failures, reports
 
@@ -201,20 +166,15 @@ def main() -> int:
     analyzer = Analyzer()
     failures = 0
 
-    catalog_failures, catalog_reports = check_catalog(analyzer)
-    failures += catalog_failures
-
-    engine_failures, engine_reports = check_new_engines()
-    failures += engine_failures
+    default_failures, default_reports = check_default_units()
+    failures += default_failures
 
     failures += check_dragonfly_loop()
 
     mutant_failures, mutant_reports = check_mutants(analyzer)
     failures += mutant_failures
 
-    failures += check_sarif(
-        catalog_reports + engine_reports + mutant_reports, sarif_path
-    )
+    failures += check_sarif(default_reports + mutant_reports, sarif_path)
 
     if failures:
         print(f"{failures} lint gate failure(s)")

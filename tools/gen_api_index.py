@@ -1,7 +1,8 @@
 """Regenerate docs/API_INDEX.md: one line per public symbol, from docstrings.
 
 (The hand-written API guide lives in docs/API.md; this index complements it.)
-Run from the repository root:  python tools/gen_api_index.py
+Run from the repository root:  PYTHONPATH=src python tools/gen_api_index.py
+(no arguments); tests/test_api_index.py checks the committed file is current.
 """
 
 from __future__ import annotations
@@ -9,10 +10,14 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
+OUT = Path(__file__).resolve().parent.parent / "docs" / "API_INDEX.md"
 
-def main() -> None:
+
+def render() -> str:
+    """The index text, one line per public symbol of every repro module."""
     import repro
 
     lines = [
@@ -59,10 +64,15 @@ def main() -> None:
                 entry += f" — {doc}"
             lines.append(entry)
         lines.append("")
-    out = Path(__file__).resolve().parent.parent / "docs" / "API_INDEX.md"
-    out.write_text("\n".join(lines))
-    print(f"wrote {out}: {len(lines)} lines")
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> None:
+    if argv:
+        sys.exit("usage: python tools/gen_api_index.py (takes no arguments)")
+    OUT.write_text(render())
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
