@@ -14,7 +14,7 @@ class-level turn set).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.core.channel import Channel
 from repro.errors import RoutingError
@@ -23,6 +23,41 @@ from repro.topology.classes import ClassRule, no_classes
 
 #: One routing option: the next node and the channel class to ride.
 Candidate = tuple[Coord, Channel]
+
+_State = TypeVar("_State", bound=Hashable)
+
+
+def backward_reachable(
+    seeds: Iterable[_State],
+    states: Iterable[_State],
+    moves: Callable[[_State], Iterable[_State]],
+) -> frozenset[_State]:
+    """Every state from which some seed is reachable along ``moves``.
+
+    ``moves(state)`` lists the successors of each of ``states``; a state
+    not in ``states`` has none.  The result is the least fixpoint of
+    "a seed, or a state with a move into the set", computed as one
+    backward search: the reverse adjacency is built once and a worklist
+    expands each reached state exactly once, so the cost is
+    O(states + moves).  Routing functions use it to keep only the
+    (node, class) states from which a destination stays reachable.
+    """
+    preds: dict[_State, list[_State]] = {}
+    for state in states:
+        for nxt in moves(state):
+            bucket = preds.get(nxt)
+            if bucket is None:
+                preds[nxt] = [state]
+            else:
+                bucket.append(state)
+    reached = set(seeds)
+    frontier = list(reached)
+    while frontier:
+        for prev in preds.get(frontier.pop(), ()):
+            if prev not in reached:
+                reached.add(prev)
+                frontier.append(prev)
+    return frozenset(reached)
 
 
 class RoutingFunction(ABC):

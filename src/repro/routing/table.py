@@ -7,11 +7,18 @@ iff ``a == b`` (continuing straight) or ``a -> b`` is an extracted turn.
 Turn legality alone is not enough for a *connected* routing function — a
 greedy router could take a legal turn into a state from which the
 destination is no longer reachable (e.g. going north first under
-north-last).  The table therefore precomputes, per destination, the set of
-(node, class) states that can still reach it, and only offers moves that
-stay inside that set.  This is the standard way turn models are realised
-in RTL ("if-else" priority structures, §5.4); reachability filtering
-computes those priorities mechanically for any design.
+north-last).  The table therefore computes, per destination it is asked
+about, the set of (node, class) states that can still reach it, and only
+offers moves that stay inside that set.  This is the standard way turn
+models are realised in RTL ("if-else" priority structures, §5.4);
+reachability filtering computes those priorities mechanically for any
+design.
+
+The set is one linear-time backward search
+(:func:`~repro.routing.base.backward_reachable`) over integer states.
+The class-to-legal-successor table and the moves per (node, productive
+direction tuple) are compiled once per routing instance, so each new
+destination costs O(states + moves).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.core.extraction import extract_turns
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
 from repro.errors import RoutingError
-from repro.routing.base import Candidate, RoutingFunction
+from repro.routing.base import Candidate, RoutingFunction, backward_reachable
 from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -99,6 +106,20 @@ class TurnTableRouting(RoutingFunction):
         self._fallback = fallback
         self._label = label
         self._reach_cache: dict[Coord, frozenset[tuple[Coord, Channel]]] = {}
+        # Compiled once per routing for the reachability search, which runs
+        # over integer states ``node_index * len(classes) + class_index``:
+        # the classes each class may continue on, and per (node, direction
+        # tuple) the instantiable moves and the states they legally reach.
+        self._states = tuple((node, c) for node in topology.nodes for c in self._classes)
+        self._state_of = {state: i for i, state in enumerate(self._states)}
+        self._legal_next = tuple(
+            frozenset(b for b in self._classes if self.transition_legal(a, b))
+            for a in self._classes
+        )
+        self._moves_cache: dict[
+            tuple[Coord, tuple[tuple[int, int], ...]],
+            tuple[tuple[Candidate, ...], tuple[tuple[int, ...], ...]],
+        ] = {}
 
     @property
     def channel_classes(self) -> tuple[Channel, ...]:
@@ -130,58 +151,63 @@ class TurnTableRouting(RoutingFunction):
     def _reachable_states(self, dst: Coord) -> frozenset[tuple[Coord, Channel]]:
         """(node, class) states from which ``dst`` is reachable.
 
-        Backward fixpoint over the productive-move/legal-transition graph.
         A state (v, c) reaches dst when v == dst, or some productive legal
-        move lands in a reachable state.
+        move lands in a reachable state: one backward search per
+        destination over the move/legal-transition graph.
         """
         cached = self._reach_cache.get(dst)
         if cached is not None:
             return cached
-
-        # Forward adjacency: state -> list of successor states.
-        # Build lazily per destination since productivity depends on dst.
-        reachable: set[tuple[Coord, Channel]] = {
-            (dst, c) for c in self._classes
-        }
-        # Iterate to fixpoint; state count is small (nodes x classes).
-        changed = True
-        states = [
-            (node, c) for node in self.topology.nodes for c in self._classes
-        ]
-        succ: dict[tuple[Coord, Channel], list[tuple[Coord, Channel]]] = {}
-        for node in self.topology.nodes:
+        self.topology.validate_node(dst)
+        width = len(self._classes)
+        escape = self._fallback == "escape"
+        succ: dict[int, tuple[tuple[int, ...], ...]] = {}
+        for index, node in enumerate(self.topology.nodes):
             if node == dst:
-                continue
-            if self._fallback == "escape":
-                moves = self._all_moves(node)
+                seeds = range(index * width, (index + 1) * width)
             else:
-                moves = self._raw_moves(node, dst)
-            for c in self._classes:
-                succ[(node, c)] = [
-                    (nxt, ch) for nxt, ch in moves if self.transition_legal(c, ch)
-                ]
-        while changed:
-            changed = False
-            for state in states:
-                if state in reachable:
-                    continue
-                for nxt_state in succ.get(state, ()):
-                    if nxt_state in reachable:
-                        reachable.add(state)
-                        changed = True
-                        break
-        frozen = frozenset(reachable)
+                if escape:
+                    dirs = self._all_directions(node)
+                else:
+                    dirs = tuple(self._productive(node, dst))
+                succ[index] = self._moves_along(node, dirs)[1]
+        reached = backward_reachable(
+            seeds,
+            [index * width + k for index in succ for k in range(width)],
+            lambda state: succ[state // width][state % width],
+        )
+        frozen = frozenset(self._states[state] for state in reached)
         self._reach_cache[dst] = frozen
         return frozen
 
-    def _raw_moves(self, cur: Coord, dst: Coord) -> list[Candidate]:
-        """Productive (next, class) moves ignoring turn legality."""
-        return self._outputs_matching(cur, self._productive(cur, dst))
+    def _moves_along(
+        self, cur: Coord, directions: tuple[tuple[int, int], ...]
+    ) -> tuple[tuple[Candidate, ...], tuple[tuple[int, ...], ...]]:
+        """Moves along ``directions``, and per class the states they legally reach.
 
-    def _all_moves(self, cur: Coord) -> list[Candidate]:
+        Memoised per (node, direction tuple).
+        """
+        key = (cur, directions)
+        entry = self._moves_cache.get(key)
+        if entry is None:
+            moves = tuple(self._outputs_matching(cur, directions))
+            entry = self._moves_cache[key] = (moves, tuple(
+                tuple(self._state_of[move] for move in moves if move[1] in legal)
+                for legal in self._legal_next
+            ))
+        return entry
+
+    def _all_directions(self, cur: Coord) -> tuple[tuple[int, int], ...]:
+        """Every direction with an out-link at ``cur``, sorted."""
+        return tuple(sorted({(l.dim, l.sign) for l in self.topology.out_links(cur)}))
+
+    def _raw_moves(self, cur: Coord, dst: Coord) -> tuple[Candidate, ...]:
+        """Productive (next, class) moves ignoring turn legality."""
+        return self._moves_along(cur, tuple(self._productive(cur, dst)))[0]
+
+    def _all_moves(self, cur: Coord) -> tuple[Candidate, ...]:
         """Every instantiable (next, class) move, productive or not."""
-        dirs = {(l.dim, l.sign) for l in self.topology.out_links(cur)}
-        return self._outputs_matching(cur, sorted(dirs))
+        return self._moves_along(cur, self._all_directions(cur))[0]
 
     # -- the routing function -----------------------------------------------------
 
@@ -190,7 +216,7 @@ class TurnTableRouting(RoutingFunction):
             return []
         reachable = self._reachable_states(dst)
 
-        def legal_reachable(moves: list[Candidate]) -> list[Candidate]:
+        def legal_reachable(moves: tuple[Candidate, ...]) -> list[Candidate]:
             out = []
             for nxt, ch in moves:
                 if not self.transition_legal(in_channel, ch):

@@ -17,7 +17,7 @@ from collections import deque
 
 from repro.core.channel import Channel
 from repro.errors import RoutingError
-from repro.routing.base import Candidate, RoutingFunction
+from repro.routing.base import Candidate, RoutingFunction, backward_reachable
 from repro.topology.base import Coord, Link, Topology
 
 
@@ -116,23 +116,17 @@ class UpDownRouting(RoutingFunction):
         cached = self._reach_cache.get(dst)
         if cached is not None:
             return cached
-        reachable: set[tuple[Coord, Channel]] = {(dst, c) for c in self._classes}
-        changed = True
         moves = {node: self._all_moves(node) for node in self.topology.nodes}
-        while changed:
-            changed = False
-            for node in self.topology.nodes:
-                if node == dst:
-                    continue
-                for c in self._classes:
-                    if (node, c) in reachable:
-                        continue
-                    for nxt, ch in moves[node]:
-                        if self._legal(c, ch) and (nxt, ch) in reachable:
-                            reachable.add((node, c))
-                            changed = True
-                            break
-        frozen = frozenset(reachable)
+
+        def legal_moves(state: tuple[Coord, Channel]) -> list[tuple[Coord, Channel]]:
+            node, c = state
+            return [(nxt, ch) for nxt, ch in moves[node] if self._legal(c, ch)]
+
+        frozen = backward_reachable(
+            [(dst, c) for c in self._classes],
+            [(node, c) for node in self.topology.nodes if node != dst for c in self._classes],
+            legal_moves,
+        )
         self._reach_cache[dst] = frozen
         return frozen
 
