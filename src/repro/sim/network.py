@@ -209,8 +209,26 @@ class NetworkSimulator:
         self.stats = SimStats()
         self._stall_cycles = 0
         self.metrics = metrics
+        self._compile()
         if metrics is not None:
             metrics.bind(self)
+
+    def _compile(self) -> None:
+        """Flatten the wire maps the step loop scans every cycle.
+
+        Runs at construction and after every fault rebuild.  ``_rows``
+        holds ``(wire, state, wire.dst)`` in sorted wire order, sharing the
+        :class:`WireState` objects of :attr:`state`.  ``_out_rank`` maps
+        each wire to ``(link rank, state)``, where a link's rank is its
+        position in ``sorted(Link)``: wires sort by ``(link, channel)``,
+        so ranks number the links in wire order.
+        """
+        self._rows = tuple((w, self.state[w], w.dst) for w in self.wires)
+        ranks: dict[Link, int] = {}
+        self._out_rank: dict[Wire, tuple[int, WireState]] = {
+            w: (ranks.setdefault(w.link, len(ranks)), ws)
+            for w, ws, _dst in self._rows
+        }
 
     # -- state queries ----------------------------------------------------------
 
@@ -229,7 +247,7 @@ class NetworkSimulator:
     def _network_active(self) -> bool:
         """Flits buffered, queued at sources, or streaming from a source."""
         return (
-            self.flits_in_network() > 0
+            any(ws.buffer for _wire, ws, _dst in self._rows)
             or any(self.source_queues.values())
             or any(s is not None for s in self._injecting.values())
         )
@@ -305,20 +323,23 @@ class NetworkSimulator:
 
     def _eject_phase(self) -> int:
         moves = 0
-        for wire in self.wires:
-            ws = self.state[wire]
-            flit = ws.front()
-            if flit is None or flit.packet.dst != wire.dst:
+        cycle = self.cycle
+        # front_ready(): a flit arriving in cycle t departs in t + 1 + delay.
+        latest_arrival = cycle - 1 - self.pipeline_delay
+        for _wire, ws, router in self._rows:
+            buffer = ws.buffer
+            if not buffer:
                 continue
-            if not ws.front_ready(self.cycle, self.pipeline_delay):
+            flit = buffer[0]
+            if flit.packet.dst != router or ws.arrivals[0] > latest_arrival:
                 continue
             ws.pop()
             moves += 1
             if self.tracer is not None:
-                self.tracer.ejected(self.cycle, flit, wire.dst)
+                self.tracer.ejected(cycle, flit, router)
             if flit.is_tail:
                 packet = flit.packet
-                packet.delivered = self.cycle
+                packet.delivered = cycle
                 assert packet.entered is not None
                 self.stats.record_delivery(
                     packet.delivered - packet.created,
@@ -327,7 +348,7 @@ class NetworkSimulator:
                 )
                 aborted_at = self._abort_cycle.pop(packet.pid, None)
                 if aborted_at is not None:
-                    self.stats.recovery_latencies.append(self.cycle - aborted_at)
+                    self.stats.recovery_latencies.append(cycle - aborted_at)
                 self._retries.pop(packet.pid, None)
                 if self.atomic_buffers:
                     ws.owner = None
@@ -337,23 +358,27 @@ class NetworkSimulator:
 
     def _allocation_phase(self) -> None:
         # Heads buffered in the network.
-        for wire in self.wires:
-            ws = self.state[wire]
-            flit = ws.front()
-            if flit is None or not flit.is_head:
+        assignment = self.route_assignment
+        saf = self.switching == "saf"
+        for wire, ws, router in self._rows:
+            buffer = ws.buffer
+            if not buffer:
                 continue
-            router = wire.dst
-            if flit.packet.dst == router:
+            flit = buffer[0]
+            if not flit.is_head:
+                continue
+            packet = flit.packet
+            if packet.dst == router:
                 continue  # ejected next cycle
-            key = (wire, flit.pid)
-            if key in self.route_assignment:
+            key = (wire, packet.pid)
+            if key in assignment:
                 continue
-            if self.switching == "saf" and not self._fully_stored(ws, flit.packet):
+            if saf and not self._fully_stored(ws, packet):
                 continue  # store-and-forward: wait for the whole packet
             try:
-                self._try_allocate(router, flit.packet, wire.channel, key)
+                self._try_allocate(router, packet, wire.channel, key)
             except RoutingError as exc:
-                self._handle_dead_end(flit.packet, wire.channel, exc)
+                self._handle_dead_end(packet, wire.channel, exc)
 
         # Source-queue heads.
         for node in self.topology.nodes:
@@ -425,56 +450,64 @@ class NetworkSimulator:
     # -- phase 3: switch allocation and traversal --------------------------------------
 
     def _traversal_phase(self) -> int:
-        # Snapshot buffer space: at most one arrival per wire per cycle
-        # (one flit per physical link), so a single free slot suffices.
-        space = {wire: self.state[wire].free_slots for wire in self.wires}
-
-        # Gather requests per physical output link.
-        by_link: dict[Link, list[tuple[int, object, Wire, Flit]]] = {}
-        order = 0
-        for wire in self.wires:
-            ws = self.state[wire]
-            flit = ws.front()
-            if flit is None or flit.packet.dst == wire.dst:
+        cycle = self.cycle
+        latest_arrival = cycle - 1 - self.pipeline_delay
+        assignment = self.route_assignment
+        out_rank = self._out_rank
+        # Requests per physical output link, keyed by the link's rank.  A
+        # request counts only if its output buffer has a free slot before
+        # any flit moves this cycle: one flit per link per cycle means at
+        # most one arrival per wire, so a single slot suffices, and each
+        # output wire belongs to one link, which admits one winner.
+        by_rank: dict[int, list[tuple]] = {}
+        for wire, ws, router in self._rows:
+            buffer = ws.buffer
+            if not buffer:
                 continue
-            if not ws.front_ready(self.cycle, self.pipeline_delay):
+            flit = buffer[0]
+            packet = flit.packet
+            if packet.dst == router or ws.arrivals[0] > latest_arrival:
                 continue
-            out_wire = self.route_assignment.get((wire, flit.pid))
+            out_wire = assignment.get((wire, packet.pid))
             if out_wire is None:
                 continue
-            by_link.setdefault(out_wire.link, []).append((order, wire, out_wire, flit))
-            order += 1
+            rank, out_ws = out_rank[out_wire]
+            if out_ws.capacity > len(out_ws.buffer):
+                by_rank.setdefault(rank, []).append((wire, ws, out_wire, out_ws, flit))
         for node in self.topology.nodes:
             inj = self._injecting[node]
             if inj is None or inj.out_wire is None or inj.done:
                 continue
-            by_link.setdefault(inj.out_wire.link, []).append(
-                (order, node, inj.out_wire, inj.current_flit())
-            )
-            order += 1
+            rank, out_ws = out_rank[inj.out_wire]
+            if out_ws.capacity > len(out_ws.buffer):
+                by_rank.setdefault(rank, []).append(
+                    (node, None, inj.out_wire, out_ws, inj.current_flit())
+                )
 
-        moves = 0
-        for link in sorted(by_link):
-            requests = [r for r in by_link[link] if space[r[2]] >= 1]
-            if not requests:
-                continue
-            winner = requests[self.cycle % len(requests)]
-            _order, source, out_wire, flit = winner
-            self._move_flit(source, out_wire, flit)
-            space[out_wire] -= 1
-            moves += 1
-        return moves
+        for rank in sorted(by_rank):
+            requests = by_rank[rank]
+            self._move_flit(*requests[cycle % len(requests)])
+        return len(by_rank)
 
-    def _move_flit(self, source, out_wire: Wire, flit: Flit) -> None:
-        out_state = self.state[out_wire]
-        if isinstance(source, Wire):
-            ws = self.state[source]
-            popped = ws.pop()
+    def _move_flit(
+        self,
+        source,
+        src_ws: WireState | None,
+        out_wire: Wire,
+        out_ws: WireState,
+        flit: Flit,
+    ) -> None:
+        """Move ``flit`` from a wire (``src_ws`` its state) or a source node
+        (``src_ws`` None) into ``out_wire``."""
+        cycle = self.cycle
+        if src_ws is not None:
+            src_ws.arrivals.popleft()
+            popped = src_ws.buffer.popleft()
             assert popped is flit, "FIFO front changed mid-cycle"
             if flit.is_tail:
                 del self.route_assignment[(source, flit.pid)]
                 if self.atomic_buffers:
-                    ws.owner = None
+                    src_ws.owner = None
                 # Path-based multicast: a waypoint absorbs its copy once
                 # the whole worm (tail included) has passed through it.
                 router = source.dst
@@ -483,22 +516,26 @@ class NetworkSimulator:
                     packet.copies.add(router)
                     self.stats.multicast_copies += 1
                     if self.tracer is not None:
-                        self.tracer.copy_absorbed(self.cycle, packet.pid, router)
+                        self.tracer.copy_absorbed(cycle, packet.pid, router)
         else:  # injection from a source node
             inj = self._injecting[source]
             assert inj is not None and inj.current_flit() is flit
             inj.next_seq += 1
             if flit.is_head:
-                inj.packet.entered = self.cycle
+                inj.packet.entered = cycle
             if inj.done:
                 self._injecting[source] = None
-        out_state.push(flit, self.cycle)
+        # WireState.push() without its overflow check: traversal admitted
+        # this request only if out_wire had a free slot.
+        out_ws.buffer.append(flit)
+        out_ws.arrivals.append(cycle)
+        out_ws.flits_carried += 1
         if self.tracer is not None:
-            self.tracer.flit_moved(self.cycle, flit, source, out_wire)
+            self.tracer.flit_moved(cycle, flit, source, out_wire)
         if flit.is_tail and not self.atomic_buffers:
             # EbDa-relaxed: the wire is re-allocatable as soon as the tail
             # is in the buffer; another packet may queue behind it.
-            out_state.owner = None
+            out_ws.owner = None
 
     # -- fault injection and recovery ---------------------------------------------------
 
@@ -833,6 +870,7 @@ class NetworkSimulator:
                 f" ({'acyclic' if verdict.acyclic else 'CYCLIC'}),"
                 f" {len(victims)} packet(s) disturbed",
             )
+        self._compile()
 
     # -- driving loops ----------------------------------------------------------------
 
