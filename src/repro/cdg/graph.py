@@ -26,7 +26,7 @@ from repro.core.channel import Channel
 from repro.core.extraction import extract_turns
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
-from repro.topology.base import Topology
+from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 from repro.topology.wires import Wire, wires_for
 
@@ -85,21 +85,25 @@ def build_turn_cdg(
         The design's channel inventory.  Defaults to every class mentioned
         by the turn set.
     """
-    classes = turnset.channels() if channel_classes is None else channel_classes
-    wires = wires_for(topology, dict.fromkeys(classes), rule)  # each class once
-    outgoing: dict = {}
+    if channel_classes is None:
+        channel_classes = turnset.channels()
+    classes = tuple(dict.fromkeys(channel_classes))  # each class once
+    wires = wires_for(topology, classes, rule)
+    outgoing: dict[Coord, list[Wire]] = {}
     for wire in wires:
         outgoing.setdefault(wire.src, []).append(wire)
+    # A packet may always continue straight on its own channel class
+    # (same partition, zero-degree, not a turn); any other transition
+    # needs an allowed turn.
+    legal = {
+        a: frozenset(b for b in classes if a == b or turnset.allows(a, b)) for a in classes
+    }
 
     graph = DependencyGraph()
     for a in wires:
-        # Wires leaving the router a enters.  A packet may always continue
-        # straight on its own channel class (same partition, zero-degree,
-        # not a turn); any other transition needs an allowed turn.
-        graph[a] = [
-            b for b in outgoing.get(a.dst, ())
-            if a.channel == b.channel or turnset.allows(a.channel, b.channel)
-        ]
+        # Wires leaving the router a enters, on a class a may move to.
+        allowed = legal[a.channel]
+        graph[a] = [b for b in outgoing.get(a.dst, ()) if b.channel in allowed]
     return graph
 
 

@@ -108,16 +108,21 @@ def cmd_exists(args: argparse.Namespace) -> int:
 
     def coord(value: object) -> tuple:
         # Scalar node labels become 1-tuples, the coordinate form
-        # GraphTopology expects.
-        if isinstance(value, list):
-            return tuple(value)
-        return (value,)
+        # GraphTopology expects; labels must be hashable to be nodes.
+        label = tuple(value) if isinstance(value, list) else (value,)
+        hash(label)
+        return label
 
     try:
         edges = [(coord(u), coord(v)) for u, v in spec["edges"]]
     except (TypeError, ValueError):
-        raise SystemExit('each edge must be a [src, dst] pair')
-    nodes = [coord(n) for n in spec.get("nodes", ())]
+        raise SystemExit(
+            "each edge must be a [src, dst] pair of scalar or coordinate-list node labels"
+        )
+    try:
+        nodes = [coord(n) for n in spec.get("nodes", ())]
+    except TypeError:
+        raise SystemExit('"nodes" must be a list of scalar or coordinate-list node labels')
 
     # The channel-class structure laid over the graph: a partition
     # sequence in arrow notation (CLI flag wins over the file's "design"

@@ -15,10 +15,12 @@ different algorithm.
 
 That independence is the point: :mod:`repro.cdg` answers the same
 question through a depth-first cycle search (:mod:`repro.cdg.cycles`)
-over a networkx ``DiGraph``; this module hand-rolls the relation *and*
-the decision procedure with no shared code (it imports neither), which
-makes it a genuine fifth oracle for the differential fuzzer
-(:mod:`repro.fuzz.oracle`).  Everything iterates in sorted order,
+over a :class:`~repro.cdg.graph.DependencyGraph` successor map; this
+module hand-rolls the relation *and* the decision procedure with no
+shared code (it imports neither), which makes it a genuine fifth oracle
+for the differential fuzzer (:mod:`repro.fuzz.oracle`).  Relations are
+built in sorted wire order (one sort per wire set); the peel runs on
+integer wire indices, and its witness walks the core in sorted order,
 so verdicts are deterministic and invariant under node relabeling.
 
 Two relation builders mirror the two CDG flavours:
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.channel import Channel
 from repro.core.turns import TurnSet
-from repro.topology.base import Topology
+from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 from repro.topology.wires import Wire, wires_for
 
@@ -90,22 +92,23 @@ def dependency_relation_from_turns(
 
     Wire ``a`` waits on wire ``b`` when ``b`` leaves the router ``a``
     enters and the class transition is the identity or an allowed turn —
-    the same relation :func:`repro.cdg.build_turn_cdg` encodes, built
-    without networkx.
+    the same relation :func:`repro.cdg.build_turn_cdg` encodes, built by
+    code of its own.
     """
     classes = tuple(channel_classes) if channel_classes is not None else tuple(turnset.channels())
-    wires = wires_for(topology, classes, rule)
-    outgoing: dict = {}
-    for wire in wires:
+    # Sorted once: outgoing lists fill in sorted order, so every filtered
+    # successor tuple is already sorted.
+    order = sorted(wires_for(topology, classes, rule))
+    outgoing: dict[Coord, list[Wire]] = {}
+    for wire in order:
         outgoing.setdefault(wire.src, []).append(wire)
+    legal = {
+        a: frozenset(b for b in classes if a == b or turnset.allows(a, b)) for a in classes
+    }
     relation: dict[Wire, tuple[Wire, ...]] = {}
-    for a in sorted(wires):
-        waits = [
-            b
-            for b in outgoing.get(a.dst, ())
-            if a.channel == b.channel or turnset.allows(a.channel, b.channel)
-        ]
-        relation[a] = tuple(sorted(waits))
+    for a in order:
+        allowed = legal[a.channel]
+        relation[a] = tuple([b for b in outgoing.get(a.dst, ()) if b.channel in allowed])
     return relation
 
 
@@ -121,33 +124,35 @@ def dependency_relation_from_routing(
     record each offered next hop as a wait edge (the semantics of
     :func:`repro.cdg.build_routing_cdg`).
     """
-    wires = wires_for(topology, routing.channel_classes, rule)
-    wire_lookup: dict[tuple, Wire] = {(w.src, w.dst, w.channel): w for w in wires}
-    waits: dict[Wire, set[Wire]] = {w: set() for w in wires}
-    for dst in sorted(topology.nodes):
-        frontier: list[Wire] = []
-        seen: set[Wire] = set()
-        for src in sorted(topology.nodes):
+    order = sorted(set(wires_for(topology, routing.channel_classes, rule)))
+    lookup = {(w.src, w.dst, w.channel): i for i, w in enumerate(order)}
+    waits: list[set[int]] = [set() for _ in order]
+    nodes = sorted(topology.nodes)
+    for dst in nodes:
+        frontier: list[int] = []
+        seen: set[int] = set()
+        for src in nodes:
             if src == dst:
                 continue
             for nxt, ch in routing.candidates(src, dst, None):
-                a = wire_lookup.get((src, nxt, ch))
-                if a is not None and a not in seen:
-                    seen.add(a)
-                    frontier.append(a)
+                i = lookup.get((src, nxt, ch))
+                if i is not None and i not in seen:
+                    seen.add(i)
+                    frontier.append(i)
         while frontier:
-            a = frontier.pop()
+            i = frontier.pop()
+            a = order[i]
             if a.dst == dst:
                 continue
             for nxt, ch in routing.candidates(a.dst, dst, a.channel):
-                b = wire_lookup.get((a.dst, nxt, ch))
-                if b is None:
+                j = lookup.get((a.dst, nxt, ch))
+                if j is None:
                     continue
-                waits[a].add(b)
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-    return {w: tuple(sorted(waits[w])) for w in sorted(waits)}
+                waits[i].add(j)
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return {w: tuple(order[j] for j in sorted(waits[i])) for i, w in enumerate(order)}
 
 
 def existence_verdict(relation: DependencyRelation) -> ArbitraryVerdict:
@@ -157,6 +162,9 @@ def existence_verdict(relation: DependencyRelation) -> ArbitraryVerdict:
     remaining out-dependency drain and are deleted; deletion may free
     their predecessors.  The fixpoint residue is the wait core — empty
     iff a deadlock-free schedule exists iff the relation is acyclic.
+
+    The peel runs on integer wire indices and needs no order: only the
+    witness does, so only a nonempty core is sorted (once).
 
     >>> from repro.topology.wires import Wire
     >>> from repro.topology.base import Link
@@ -171,53 +179,54 @@ def existence_verdict(relation: DependencyRelation) -> ArbitraryVerdict:
     nodes: set[Wire] = set(relation)
     for out in relation.values():
         nodes.update(out)
-    succs: dict[Wire, tuple[Wire, ...]] = {
-        w: tuple(sorted(set(relation.get(w, ())))) for w in nodes
-    }
-    out_deg = {w: len(succs[w]) for w in nodes}
-    preds: dict[Wire, list[Wire]] = {w: [] for w in nodes}
-    for w in sorted(nodes):
-        for s in succs[w]:
-            preds[s].append(w)
-    queue: deque[Wire] = deque(sorted(w for w in nodes if out_deg[w] == 0))
-    removed: set[Wire] = set()
+    wires = list(nodes)
+    index = {w: i for i, w in enumerate(wires)}
+    succs = [tuple({index[s] for s in relation.get(w, ())}) for w in wires]
+    out_deg = [len(s) for s in succs]
+    preds: list[list[int]] = [[] for _ in wires]
+    for i, out in enumerate(succs):
+        for j in out:
+            preds[j].append(i)
+    queue = deque(i for i, d in enumerate(out_deg) if d == 0)
     while queue:
-        w = queue.popleft()
-        removed.add(w)
-        for p in preds[w]:
+        for p in preds[queue.popleft()]:
             out_deg[p] -= 1
             if out_deg[p] == 0:
                 queue.append(p)
-    core = nodes - removed
-    n_edges = sum(len(s) for s in succs.values())
+    # A wire drains exactly when its out-degree reaches zero, so the
+    # wires still waiting on something are the core.
+    core = [i for i, d in enumerate(out_deg) if d > 0]
+    n_edges = sum(map(len, succs))
     if not core:
-        return ArbitraryVerdict(True, len(nodes), n_edges, 0)
-    return ArbitraryVerdict(
-        False, len(nodes), n_edges, len(core), _witness_cycle(core, succs)
-    )
+        return ArbitraryVerdict(True, len(wires), n_edges, 0)
+    cycle = _witness_cycle(wires, core, succs)
+    return ArbitraryVerdict(False, len(wires), n_edges, len(core), cycle)
 
 
-def _witness_cycle(core: set[Wire], succs: Mapping[Wire, tuple[Wire, ...]]) -> tuple[str, ...]:
+def _witness_cycle(
+    wires: list[Wire], core: list[int], succs: list[tuple[int, ...]]
+) -> tuple[str, ...]:
     """One dependency cycle inside the wait core, canonically rotated.
 
     Every core wire has at least one successor in the core (that is what
     kept it from draining), so walking min-successors must revisit a
-    wire; the revisit closes the cycle.
+    wire; the revisit closes the cycle.  "Min" is wire order: the core is
+    sorted once and each core index replaced by its rank.
     """
-    start = min(core)
-    path = [start]
-    index = {start: 0}
-    cur = start
+    ranked = sorted(core, key=lambda i: wires[i])
+    rank = {i: r for r, i in enumerate(ranked)}
+    path = [0]
+    position = {0: 0}
+    cur = 0
     while True:
-        cur = min(s for s in succs[cur] if s in core)
-        if cur in index:
-            cycle = path[index[cur]:]
+        cur = min(rank[s] for s in succs[ranked[cur]] if s in rank)
+        if cur in position:
+            cycle = path[position[cur]:]
             break
-        index[cur] = len(path)
+        position[cur] = len(path)
         path.append(cur)
     pivot = cycle.index(min(cycle))
-    cycle = cycle[pivot:] + cycle[:pivot]
-    return tuple(str(w) for w in cycle)
+    return tuple(str(wires[ranked[r]]) for r in cycle[pivot:] + cycle[:pivot])
 
 
 def verdict_from_turns(

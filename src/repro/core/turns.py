@@ -16,7 +16,7 @@ forwarded on channel class ``b`` iff ``(a, b)`` is in the set.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,7 +157,7 @@ class TurnSet:
             out.add(t.dst)
         return frozenset(out)
 
-    def restrict(self, predicate) -> "TurnSet":
+    def restrict(self, predicate: Callable[[Turn], bool]) -> "TurnSet":
         """A new TurnSet keeping only turns for which ``predicate(turn)`` holds."""
         return TurnSet(
             {

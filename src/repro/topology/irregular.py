@@ -253,8 +253,13 @@ class GraphTopology(Topology):
             node_set.add(v)
         if not node_set:
             raise TopologyError("a graph topology needs at least one node")
+        try:
+            self._nodes = tuple(sorted(node_set))
+        except TypeError:
+            raise TopologyError(
+                "node labels must be mutually comparable (e.g. all numbers or all strings)"
+            ) from None
         self._edges = tuple(sorted(edge_set))
-        self._nodes = tuple(sorted(node_set))
 
     def __repr__(self) -> str:
         return f"GraphTopology({len(self._nodes)} nodes, {len(self._edges)} edges)"

@@ -465,6 +465,38 @@ class TestExists:
         with pytest.raises(SystemExit):
             main(["exists", path])
 
+    def test_nodes_not_a_list_rejected(self, tmp_path):
+        path = self.graph(tmp_path, {"edges": [[0, 1]], "nodes": 5})
+        with pytest.raises(SystemExit, match='"nodes" must be a list'):
+            main(["exists", path])
+
+    def test_unhashable_edge_label_rejected(self, tmp_path):
+        path = self.graph(tmp_path, {"edges": [[{"a": 1}, 2]]})
+        with pytest.raises(SystemExit, match="each edge must be a"):
+            main(["exists", path])
+
+    def test_incomparable_labels_rejected(self, tmp_path):
+        path = self.graph(tmp_path, {"edges": [[0, "a"], ["a", 0]]})
+        with pytest.raises(SystemExit, match="mutually comparable"):
+            main(["exists", path])
+
+    def test_complete_digraph_k32(self, capsys, tmp_path):
+        """The dense stress point: the full mesh of 32 routers on one class.
+
+        R(R-1) links, and every link waits on all R-1 links leaving its
+        head (U-turns included), so the whole wire set is one wait core.
+        """
+        import json
+
+        r = 32
+        edges = [[u, v] for u in range(r) for v in range(r) if u != v]
+        path = self.graph(tmp_path, {"edges": edges})
+        assert main(["exists", path, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["graph"] == {"nodes": 32, "edges": 992}
+        assert (payload["wires"], payload["dependencies"], payload["core"]) == (992, 30752, 992)
+        assert payload["cycle"] == ["X+@(0,)->(1,)", "X+@(1,)->(0,)"]
+
 
 class TestFuzzInstantiations:
     def test_instantiation_oracle_via_fuzz(self, capsys):
