@@ -6,8 +6,8 @@ family at concrete points, run the concrete :class:`~repro.analyze.Analyzer`
 over exactly the rules the certificates cover, and compare error sets.
 Any disagreement is a bug in the prover, the concrete rules, or the
 family description — all three are worth an alarm, which is why the check
-runs as a fuzz oracle (``repro fuzz --instantiations``) and a CI gate
-(``tools/ci_certify_check.py``) at hundreds of random points.
+runs as a fuzz oracle (``repro fuzz --instantiations``) and as
+``repro certify --gate``, which CI runs at 500 random points.
 
 For the Algorithm-1 closed form the gate additionally asserts the schema
 reproduces :func:`repro.core.partitioning.partition_vc_budget` verbatim,

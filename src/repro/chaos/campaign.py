@@ -13,8 +13,8 @@ or resumed from a :class:`~repro.chaos.checkpoint.CampaignCheckpoint`
 after a kill.
 
 Trial records carry **no wall-clock timing** — that is what makes the
-determinism testable (the CI gate diffs two runs byte for byte) and the
-checkpoint format content-addressable.
+determinism testable (the campaign tests diff two runs byte for byte)
+and the checkpoint format content-addressable.
 """
 
 from __future__ import annotations

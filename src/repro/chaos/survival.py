@@ -20,10 +20,10 @@ The file format is strict JSON Lines, mirroring
 :mod:`repro.sim.metrics`: a leading ``campaign-meta`` record (schema
 :data:`CHAOS_SCHEMA`), the ``trial`` records, then the ``survival``
 records.  Nothing in the file carries wall-clock timing, so a seeded
-campaign's report is byte-identical across runs — the property the CI
-gate (``tools/ci_chaos_check.py``) asserts.  :func:`load_survival` reads
-a file back strictly; :func:`render_survival` prints the text report the
-``repro chaos`` CLI shows.
+campaign's report is byte-identical across runs — the property the
+campaign tests (``tests/chaos/test_campaign.py``) assert.
+:func:`load_survival` reads a file back strictly; :func:`render_survival`
+prints the text report the ``repro chaos`` CLI shows.
 """
 
 from __future__ import annotations

@@ -280,7 +280,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.cert_dir:
         for rep in reports:
             certificates = json.dumps([c.to_dict() for c in rep.certificates])
-            atomic_write(f"{args.cert_dir}/{rep.family}.json", certificates + "\n")
+            # "catalog:xy" -> "catalog_xy.json": CI artifact uploads
+            # reject ":" in file names.
+            name = rep.family.replace(":", "_")
+            atomic_write(f"{args.cert_dir}/{name}.json", certificates + "\n")
         print(f"{len(reports)} certificate files written to {args.cert_dir}")
 
     record(

@@ -113,14 +113,23 @@ def cmd_exists(args: argparse.Namespace) -> int:
         hash(label)
         return label
 
+    # A string or an object iterates too, into labels nobody wrote
+    # ({"ab": 1} would load the edge a -> b): require the list shapes.
+    pairs, labels = spec["edges"], spec.get("nodes", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in pairs
+    ):
+        raise SystemExit('"edges" must be a list of [src, dst] pairs')
     try:
-        edges = [(coord(u), coord(v)) for u, v in spec["edges"]]
-    except (TypeError, ValueError):
+        edges = [(coord(u), coord(v)) for u, v in pairs]
+    except TypeError:
         raise SystemExit(
             "each edge must be a [src, dst] pair of scalar or coordinate-list node labels"
         )
     try:
-        nodes = [coord(n) for n in spec.get("nodes", ())]
+        if not isinstance(labels, list):
+            raise TypeError
+        nodes = [coord(n) for n in labels]
     except TypeError:
         raise SystemExit('"nodes" must be a list of scalar or coordinate-list node labels')
 

@@ -10,8 +10,9 @@ buffers and Duato-atomic buffers).
 All six trials are independent simulation points expressed as named
 routing specs, so the :class:`~repro.sim.parallel.SweepEngine` can fan
 them out over worker processes (``jobs``) and serve repeats from its
-result cache — the CI cache check drives this experiment twice for
-exactly that reason.
+result cache — the cold-then-warm cache test
+(``tests/experiments/test_experiments.py``) drives it twice for exactly
+that reason.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ A disagreement means the closed-form derivation and the concrete rule
 implementation have diverged, which is precisely the class of bug no
 single-engine oracle can see.
 
-Wired into ``repro fuzz --instantiations N`` and the CI gate
-(``tools/ci_certify_check.py``).
+Wired into ``repro fuzz --instantiations N`` and ``repro certify
+--gate N``, which CI runs at 500 points.
 """
 
 from __future__ import annotations

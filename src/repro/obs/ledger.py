@@ -16,7 +16,8 @@ That split is what makes drift detectable: two records with the same
 identity *minus version* but different outcome digests mean an upgrade
 changed a result — :meth:`RunLedger.drift` (surfaced as ``repro runs
 diff``) finds exactly those pairs.  Conversely rerunning the same version
-must reproduce the same digest, which ``tools/ci_obs_check.py`` gates.
+must reproduce the same digest, which ``tests/obs/test_determinism.py``
+requires.
 
 The ledger is **off by default**.  It activates when the
 ``REPRO_EBDA_LEDGER_DIR`` environment variable names a directory or when

@@ -77,7 +77,7 @@ _BACKENDS: dict[str, BackendInfo] = {
     ),
     "vector": BackendInfo(
         name="vector",
-        description="struct-of-arrays numpy kernel; cycle-exact, ~21-26x faster",
+        description="struct-of-arrays numpy kernel; cycle-exact, 6-9x faster (EXPERIMENTS.md V10)",
         cycle_exact=True,
         supports_metrics=False,
         supports_tracer=False,

@@ -91,11 +91,23 @@ class TestSarif:
         jsonschema = pytest.importorskip("jsonschema")
         from pathlib import Path
 
+        from repro.analyze import default_lint_unit
+        from repro.core import catalog
+        from tests.analyze.test_rules import corpus_mutant_units
+
         schema_path = (
             Path(__file__).parents[2] / "tools" / "sarif-2.1.0-subset.schema.json"
         )
         schema = json.loads(schema_path.read_text())
         jsonschema.validate(json.loads(render_sarif(reports)), schema)
+        # The whole catalog as it lints by default, and the corpus
+        # mutants, in one log.
+        combined = []
+        for name in sorted(catalog.NAMED_DESIGNS):
+            unit, ignore = default_lint_unit(name)
+            combined.append(Analyzer(ignore=ignore).run(unit))
+        combined += [Analyzer().run(unit) for unit in corpus_mutant_units()]
+        jsonschema.validate(json.loads(render_sarif(combined)), schema)
 
 
 class TestRegistry:

@@ -88,6 +88,14 @@ class TestProver:
         report = certify(family)
         assert report.violation_rules == (rule,)
 
+    @pytest.mark.parametrize(
+        "name", ["xy", "dragonfly-minimal", "dragonfly-valiant", "fattree-updown"]
+    )
+    def test_catalog_family_proven_clean(self, name):
+        # The claimed-minimal catalog designs are proven clean below.
+        report = certify(f"catalog:{name}")
+        assert report.ok, (name, report.violation_rules)
+
     def test_claimed_catalog_designs_clear_ebda009(self):
         for name in CLAIMED_CATALOG:
             report = certify(f"catalog:{name}")

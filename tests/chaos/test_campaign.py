@@ -135,14 +135,32 @@ class TestChaosCampaign:
     def test_budget_interrupts_then_resume_is_byte_identical(self, tmp_path):
         # Needs more trials than one batch (8 at jobs=1), else budget_s=0
         # never gets a chance to interrupt.
+        from repro.chaos import load_survival
+
         config = CampaignConfig(trials=12, seed=0, mesh=(4, 4), cycles=200)
         full = ChaosCampaign(config).run()
-        partial = ChaosCampaign(config, checkpoint_dir=tmp_path).run(budget_s=0)
+        assert not full.interrupted
+        assert full.trials_completed == config.trials
+        partial = ChaosCampaign(config, checkpoint_dir=tmp_path / "ckpt").run(budget_s=0)
         assert partial.interrupted
         assert 0 < partial.trials_completed < config.trials
-        resumed = ChaosCampaign(config, checkpoint_dir=tmp_path).run()
+        resumed = ChaosCampaign(config, checkpoint_dir=tmp_path / "ckpt").run()
         assert not resumed.interrupted
         assert resumed.trial_bytes == full.trial_bytes
+        # The reports agree byte for byte and carry one trial record per
+        # trial and survival curves of probabilities.
+        a, b = tmp_path / "full.jsonl", tmp_path / "resumed.jsonl"
+        full.to_jsonl(a)
+        resumed.to_jsonl(b)
+        assert a.read_bytes() == b.read_bytes()
+        records = load_survival(a)
+        trials = [r for r in records if r["record"] == "trial"]
+        assert [t["index"] for t in trials] == list(range(config.trials))
+        survival = [r for r in records if r["record"] == "survival"]
+        assert survival
+        assert all(
+            0.0 <= point["p_delivered"] <= 1.0 for s in survival for point in s["curve"]
+        )
 
     def test_report_jsonl_round_trip(self, tmp_path):
         from repro.chaos import load_survival

@@ -3,7 +3,8 @@
 These are the repository's acceptance tests: each experiment module's
 ``run()`` re-derives a paper artifact and asserts the claims.  Simulation-
 heavy experiments run with reduced cycle counts to stay unit-test fast;
-the benchmarks run them at full scale.
+the benchmarks run them at full scale.  V2 runs at full scale here, as
+the sweep the result-cache and span checks are made on.
 """
 
 import pytest
@@ -74,8 +75,46 @@ def test_cdg_validation_reduced():
     cdg_validation.run(derivation_limit=4).require()
 
 
-def test_deadlock_demo_reduced():
-    deadlock_demo.run(cycles=2000).require()
+def test_deadlock_demo_cold_then_warm(tmp_path):
+    """V2 at full scale, traced with the ledger armed: the cold run fills
+    an empty result cache, the warm rerun is served from it."""
+    from repro.obs import Tracer, check_balance, load_trace, set_ledger, tracing
+    from repro.sim import ResultCache, SweepEngine
+
+    cache = ResultCache(tmp_path / "cache")
+    tracer = Tracer()
+    previous = set_ledger(tmp_path / "ledger")
+    try:
+        with tracing(tracer):
+            cold_result = deadlock_demo.run(engine=SweepEngine(cache=cache))
+            warm_result = deadlock_demo.run(engine=SweepEngine(cache=cache))
+    finally:
+        set_ledger(previous)
+    cold_result.require()
+    warm_result.require()
+    cold, warm = cold_result.data["sweep"], warm_result.data["sweep"]
+    assert cold["cache_hits"] == 0
+    assert warm["cache_hits"] == warm["n_points"]
+    assert warm["cache_misses"] == 0
+    assert warm["cycles_executed"] == 0
+    assert warm["wall_time"] < cold["wall_time"]
+
+    def outcomes(sweep):
+        return [
+            (p["routing"], p["injection_rate"], p["seed"], p["avg_latency"],
+             p["throughput"], p["deadlocked"])
+            for p in sweep["points"]
+        ]
+
+    assert outcomes(warm) == outcomes(cold)
+
+    path = tmp_path / "spans.jsonl"
+    tracer.to_jsonl(path)
+    events = load_trace(path)
+    check_balance(events)
+    assert {
+        "sweep.run_many", "sweep.cache_read", "sweep.simulate", "sweep.cache_write"
+    } <= {e["name"] for e in events if e["event"] == "span-start"}
 
 
 def test_perf_sweep_reduced():

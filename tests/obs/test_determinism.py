@@ -95,16 +95,23 @@ class TestLedgerDeterminism:
     def test_sweep_rerun_has_no_self_drift(self, tmp_path):
         mesh = Mesh(4, 4)
         engine = SweepEngine(jobs=1, cache=None)
-        set_ledger(tmp_path)
-        try:
-            engine.sweep(mesh, "xy", [0.05], CONFIG)
-            engine.sweep(mesh, "xy", [0.05], CONFIG)
-        finally:
-            set_ledger(None)
-        ledger = RunLedger(tmp_path)
-        digests = {r.digest for r in ledger.records() if r.kind == "sweep"}
-        assert len(digests) == 1
-        assert ledger.drift() == []
+        points = (
+            ("one-rate", [0.05], CONFIG),
+            ("two-rate", [0.05, 0.1], RunConfig(cycles=200, seed=1, watchdog=400)),
+        )
+        for name, rates, config in points:
+            ledger = RunLedger(tmp_path / name)
+            set_ledger(ledger.directory)
+            try:
+                engine.sweep(mesh, "xy", rates, config)
+                before = ledger.path.read_text()
+                engine.sweep(mesh, "xy", rates, config)
+            finally:
+                set_ledger(None)
+            assert ledger.path.read_text().startswith(before)  # appended, not rewritten
+            digests = {r.digest for r in ledger.records() if r.kind == "sweep"}
+            assert len(digests) == 1
+            assert ledger.drift() == []
 
     def test_wall_time_not_in_identity_or_digest(self, tmp_path):
         # Two runs never share wall time; identity and digest must anyway.

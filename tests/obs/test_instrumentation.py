@@ -14,6 +14,7 @@ from repro.obs import (
     Tracer,
     check_balance,
     load_heartbeat,
+    load_trace,
     set_ledger,
     tracing,
 )
@@ -22,6 +23,8 @@ from repro.sim.parallel import ResultCache, SweepEngine
 from repro.topology import Mesh
 
 CONFIG = RunConfig(cycles=150, seed=3, watchdog=300)
+#: Three batches of eight at jobs=1, the last one short.
+FUZZ_TRIALS = 20
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +54,9 @@ class TestSweepInstrumentation:
         assert spans_named(tracer, "sweep.simulate")
         assert spans_named(tracer, "sweep.cache_read")
         assert spans_named(tracer, "sweep.cache_write")
+        exposition = REGISTRY.to_prometheus()
+        assert "repro_cache_misses_total" in exposition
+        assert "repro_simulate_seconds" in exposition
 
     def test_cache_metrics_track_hits_and_misses(self, tmp_path):
         engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
@@ -95,11 +101,15 @@ class TestFuzzInstrumentation:
         set_ledger(tmp_path)
         try:
             with tracing(tracer):
-                report = run_fuzz(6, seed=0, profile=fast_profile())
+                report = run_fuzz(FUZZ_TRIALS, seed=0, profile=fast_profile())
         finally:
             set_ledger(None)
-        assert report.runs_completed == 6
+        assert report.ok, report.summary()
+        assert report.runs_completed == FUZZ_TRIALS
         check_balance(tracer.events)
+        # The exported trace reads back as strict, balanced span JSONL.
+        tracer.to_jsonl(tmp_path / "spans.jsonl")
+        check_balance(load_trace(tmp_path / "spans.jsonl"))
         campaign = spans_named(tracer, "fuzz.campaign")
         assert len(campaign) == 1
         assert spans_named(tracer, "fuzz.batch")
@@ -108,8 +118,9 @@ class TestFuzzInstrumentation:
             for e in tracer.events
             if e["event"] == "span-end" and e["name"] == "fuzz.campaign"
         )
-        assert end["attrs"]["completed"] == 6
-        assert REGISTRY.counter("repro_fuzz_trials_total").value == 6
+        assert end["attrs"]["completed"] == FUZZ_TRIALS
+        assert REGISTRY.counter("repro_fuzz_trials_total").value == FUZZ_TRIALS
+        assert "repro_fuzz_trials_total" in REGISTRY.to_prometheus()
         records = RunLedger(tmp_path).records()
         assert [r.kind for r in records] == ["fuzz"]
         assert records[0].outcome == "ok"

@@ -4,7 +4,8 @@ Per-family, at hypothesis-drawn random ``(n, k)`` instantiation points,
 the rules the symbolic prover marks applicable must produce exactly the
 same error set as running the concrete :class:`Analyzer` on the
 instantiated design — the same contract the fuzzer's instantiation
-oracle and ``tools/ci_certify_check.py`` enforce at scale.
+oracle and ``repro certify --all --gate 500`` (run in CI) enforce at
+scale.
 """
 
 import json

@@ -25,18 +25,63 @@ from repro.sim import (
 from repro.sim.metrics import METRICS_SCHEMA
 from repro.sim.specs import spec_token
 from repro.core import catalog
+from repro.store import read_json
 from repro.topology import Mesh
 from tests.sim.test_deadlock import RingRouting
 
+#: The keys each exported record kind must carry.
+REQUIRED_KEYS = {
+    "meta": {"schema", "topology", "n_nodes", "routing", "sample_every",
+             "cycles", "samples", "n_channels", "n_routers"},
+    "sample": {"cycle", "throughput", "flit_moves", "buffered_flits",
+               "injection_depth", "packets_in_flight", "vc_stalls",
+               "mean_link_utilization", "max_link_utilization"},
+    "channel": {"wire", "channel", "partition", "src", "dst", "flits",
+                "utilization"},
+    "router": {"node", "avg_buffered", "peak_buffered", "vc_stalls"},
+    "stats": {"flit_moves", "flits_delivered", "packets_delivered"},
+    "forensics": {"declared_at", "wait_cycle", "witness_channels",
+                  "blocked", "buffer_occupancy"},
+}
 
-def _metered_run(cycles=400, sample_every=50, rate=0.05, tracer=None):
+
+def validate(path):
+    """Load one exported JSONL file strictly and check it against itself.
+
+    Each record kind carries its required keys, the record counts match
+    the meta record, sample cycles strictly increase, and the channel
+    counters conserve flits against the stats record.
+    """
+    records = load_metrics(path)
+    for index, record in enumerate(records, 1):
+        missing = REQUIRED_KEYS.get(record["record"], set()) - set(record)
+        assert not missing, f"record {index} ({record['record']}) lacks {sorted(missing)}"
+    meta = records[0]
+
+    def of(kind):
+        return [r for r in records if r["record"] == kind]
+
+    channels, samples = of("channel"), of("sample")
+    assert len(channels) == meta["n_channels"]
+    assert len(of("router")) == meta["n_routers"]
+    assert len(samples) == meta["samples"]
+    cycles = [s["cycle"] for s in samples]
+    assert cycles == sorted(set(cycles)), "sample cycles are not strictly increasing"
+    for stats in of("stats")[:1]:
+        assert sum(c["flits"] for c in channels) == (
+            stats["flit_moves"] - stats["flits_delivered"]
+        )
+    return records
+
+
+def _metered_run(cycles=400, sample_every=50, rate=0.05, tracer=None, seed=3):
     mesh = Mesh(4, 4)
     collector = MetricsCollector(sample_every=sample_every)
     sim = NetworkSimulator(
         mesh, xy_routing(mesh), metrics=collector, tracer=tracer
     )
     traffic = TrafficGenerator(
-        mesh, TrafficConfig(injection_rate=rate, packet_length=4, seed=3)
+        mesh, TrafficConfig(injection_rate=rate, packet_length=4, seed=seed)
     )
     stats = sim.run(cycles, traffic, drain=True)
     collector.finalize()  # final partial-window sample; exact counters
@@ -193,7 +238,7 @@ class TestExport:
         collector, stats, mesh = _metered_run()
         path = tmp_path / "m.jsonl"
         n = collector.to_jsonl(path, stats=stats)
-        records = load_metrics(path)
+        records = validate(path)
         assert len(records) == n
         meta = records[0]
         assert meta["record"] == "meta"
@@ -207,6 +252,14 @@ class TestExport:
         assert sum(c["flits"] for c in channels) == (
             stats.flit_moves - stats.flits_delivered
         )
+
+    def test_healthy_export_validates(self, tmp_path):
+        collector, stats, _mesh = _metered_run(cycles=500, seed=1)
+        assert not stats.deadlocked
+        path = tmp_path / "m.jsonl"
+        collector.to_jsonl(path, stats=stats)
+        records = validate(path)
+        assert not [r for r in records if r["record"] == "forensics"]
 
     def test_jsonl_is_strict_json(self, tmp_path):
         collector, _stats, _mesh = _metered_run()
@@ -290,13 +343,27 @@ class TestForensics:
         collector, stats = _deadlocked_collector()
         path = tmp_path / "dl.jsonl"
         collector.to_jsonl(path, stats=stats)
-        records = load_metrics(path)
+        records = validate(path)
         forensics = [r for r in records if r["record"] == "forensics"]
         assert len(forensics) == 1
         text = render_forensics(records)
         assert "cyclic wait" in text
         assert "X+@(0, 0)->(1, 0)" in text
         assert "#0" in text and "#3" in text
+
+    def test_v8_experiment_forensics_payload(self, tmp_path):
+        # The V8 experiment at its default scale, and its forensics
+        # payload read back as strict JSON.
+        from repro.experiments import telemetry_demo
+
+        result = telemetry_demo.run()
+        result.require()
+        path = tmp_path / "forensics.json"
+        path.write_text(json.dumps(result.data["forensics"], allow_nan=False))
+        record = read_json(path)
+        assert REQUIRED_KEYS["forensics"] <= set(record)
+        assert len(record["witness_channels"]) == 4
+        assert {b["pid"] for b in record["blocked"]} == {0, 1, 2, 3}
 
     def test_forensics_render_method(self):
         collector, _stats = _deadlocked_collector()

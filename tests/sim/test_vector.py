@@ -6,9 +6,12 @@ per-packet latency list in delivery order, and the deadlock declaration
 cycle.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, EbdaError, RoutingError, SimulationError
+from repro.fuzz.corpus import load_entry
 from repro.routing import (
     MinimalFullyAdaptive,
     OddEven,
@@ -26,13 +29,30 @@ from repro.sim import (
     VectorSimulator,
     run_point,
 )
+from repro.sim.specs import resolve_routing_factory
 from repro.topology import Mesh, Torus
 from repro.topology.classes import NAMED_RULES, no_classes, rule_for_design
 
+COMMITTED_CORPUS = Path(__file__).parents[1] / "fuzz" / "corpus"
+
+#: (design name, mesh shape, injection rate): deterministic through
+#: fully adaptive, 2D and 3D, plus a virtual-channel design.
+CATALOG_POINTS = (
+    ("xy", (8, 8), 0.10),
+    ("west-first", (8, 8), 0.08),
+    ("north-last", (6, 6), 0.08),
+    ("negative-first", (6, 6), 0.08),
+    ("odd-even", (6, 6), 0.08),
+    ("dyxy", (8, 8), 0.06),
+    ("fig9b", (3, 3, 3), 0.05),
+    ("west-first-vcs", (6, 6), 0.08),
+)
+
 
 def both_backends(topology, routing_factory, rule=no_classes, *, cycles=300,
-                  rate=0.08, seed=3, drain=True, **sim_kwargs):
-    """Run the same point through both engines; return the two stat dicts."""
+                  rate=0.08, seed=3, drain=True, errors=(), **sim_kwargs):
+    """Run the same point through both engines; return the two stat dicts
+    (the class name instead, where a run raises one of ``errors``)."""
     results = []
     for cls in (NetworkSimulator, VectorSimulator):
         sim = cls(topology, routing_factory(topology), rule, seed=seed, **sim_kwargs)
@@ -40,7 +60,10 @@ def both_backends(topology, routing_factory, rule=no_classes, *, cycles=300,
             topology,
             TrafficConfig(injection_rate=rate, packet_length=4, seed=seed),
         )
-        results.append(sim.run(cycles, traffic, drain=drain).to_dict())
+        try:
+            results.append(sim.run(cycles, traffic, drain=drain).to_dict())
+        except errors as exc:
+            results.append(type(exc).__name__)
     return results
 
 
@@ -94,6 +117,40 @@ class TestParity:
         assert ref == vec
         assert ref["deadlocked"]
         assert ref["deadlock_declared_at"] is not None
+
+
+class TestCatalogAndCorpusParity:
+    """The result cache keys omit the backend; these points keep that honest."""
+
+    @pytest.mark.parametrize(
+        "name,shape,rate", CATALOG_POINTS, ids=[point[0] for point in CATALOG_POINTS]
+    )
+    def test_catalog_point(self, name, shape, rate):
+        ref, vec = both_backends(
+            Mesh(*shape), resolve_routing_factory(name), rule_for_design(name),
+            cycles=600, rate=rate, seed=3, watchdog=500, buffer_depth=4,
+        )
+        assert ref == vec
+
+    @pytest.mark.parametrize(
+        "path", sorted(COMMITTED_CORPUS.glob("fuzz-*.json")), ids=lambda p: p.stem
+    )
+    def test_corpus_witness(self, path):
+        # Committed witnesses deadlock or are otherwise adversarial:
+        # saturating traffic, shallow buffers, no drain.
+        design = load_entry(path).design
+        seq, turnset = design.compile()
+        topology, rule = design.topology(), design.class_rule()
+        try:
+            routing = TurnTableRouting(topology, seq, rule, turnset=turnset, validate=False)
+        except EbdaError as exc:
+            pytest.skip(f"unroutable build: {exc}")
+        ref, vec = both_backends(
+            topology, lambda _t: routing, rule,
+            cycles=400, rate=0.3, seed=0, watchdog=150, buffer_depth=2,
+            drain=False, errors=(RoutingError, SimulationError),
+        )
+        assert ref == vec
 
 
 class TestRunPointBackend:

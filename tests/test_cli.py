@@ -404,14 +404,21 @@ class TestCertify:
     def test_cert_dir_writes_checkable_files(self, capsys, tmp_path):
         import json
 
-        from repro.analyze import check_certificate
+        from repro.analyze import SYMBOLIC_FAMILIES, check_certificate
 
-        assert main(
-            ["certify", "dateline-torus", "--cert-dir", str(tmp_path)]
-        ) == 0
+        assert main(["certify", "--all", "--cert-dir", str(tmp_path)]) == 0
         path = tmp_path / "dateline-torus.json"
         certs = json.loads(path.read_text())
         assert certs and all(check_certificate(c).ok for c in certs)
+        # One upload-safe file per family ("catalog:xy" -> catalog_xy.json),
+        # each round-tripping through the independent checker.
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(files) == len(SYMBOLIC_FAMILIES) == 25
+        assert not [f.name for f in files if ":" in f.name]
+        assert (tmp_path / "catalog_xy.json").is_file()
+        for file in files:
+            certs = json.loads(file.read_text())
+            assert certs and all(check_certificate(c).ok for c in certs), file.name
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
@@ -473,6 +480,23 @@ class TestExists:
     def test_unhashable_edge_label_rejected(self, tmp_path):
         path = self.graph(tmp_path, {"edges": [[{"a": 1}, 2]]})
         with pytest.raises(SystemExit, match="each edge must be a"):
+            main(["exists", path])
+
+    def test_edges_object_rejected(self, tmp_path):
+        # Iterating {"ab": 1} would yield the key "ab", i.e. the edge a -> b.
+        path = self.graph(tmp_path, {"edges": {"ab": 1}})
+        with pytest.raises(SystemExit, match='"edges" must be a list'):
+            main(["exists", path])
+
+    def test_edge_string_rejected(self, tmp_path):
+        path = self.graph(tmp_path, {"edges": ["ab"]})
+        with pytest.raises(SystemExit, match='"edges" must be a list'):
+            main(["exists", path])
+
+    def test_nodes_string_rejected(self, tmp_path):
+        # Iterating "abc" would load three nodes.
+        path = self.graph(tmp_path, {"edges": [["a", "b"]], "nodes": "abc"})
+        with pytest.raises(SystemExit, match='"nodes" must be a list'):
             main(["exists", path])
 
     def test_incomparable_labels_rejected(self, tmp_path):

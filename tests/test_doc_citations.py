@@ -1,8 +1,9 @@
 """Every file and test the documentation cites exists.
 
 Scans the documents that describe the current tree (``DOCS`` at the
-repository root, and ``docs/*.md``) for two kinds of citation and resolves
-each one without running anything:
+repository root, and ``docs/*.md``) and the CI workflow, which cannot run
+here, for two kinds of citation and resolves each one without running
+anything:
 
 * ``<file>.py::<name>[::<name>]`` — the file must exist, relative to the
   repository root or to ``src/repro``, and define that class/function
@@ -19,7 +20,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".github/workflows/ci.yml")
 TOP_DIRS = ("src", "tests", "tools", "benchmarks", "docs", "examples", "perfbench")
 
 NODE_ID = re.compile(r"(?<![\w/.*-])([\w./-]+\.py)::(\w+(?:::\w+)*)")

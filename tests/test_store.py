@@ -2,7 +2,6 @@
 writes, and the strict readers every artifact loader goes through."""
 
 import ast
-import importlib.util
 import json
 import os
 from pathlib import Path
@@ -160,15 +159,6 @@ class TestReadJson:
             store.read_json(tmp_path / "absent.json")
 
 
-def _ci_metrics_validate(path):
-    spec = importlib.util.spec_from_file_location(
-        "ci_metrics_check", ROOT / "tools" / "ci_metrics_check.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.validate(path)
-
-
 def _cli_exists(path):
     from repro.cli import build_parser
 
@@ -190,6 +180,7 @@ def _loaders():
     from repro.obs.heartbeat import load_heartbeat
     from repro.obs.trace import load_trace
     from repro.sim.metrics import load_metrics
+    from tests.sim.test_metrics import validate as validate_metrics
 
     return {
         "metrics": load_metrics,
@@ -201,7 +192,7 @@ def _loaders():
         "corpus": load_entry,
         "baseline": load_baseline,
         "cli-exists": _cli_exists,
-        "ci-metrics-check": _ci_metrics_validate,
+        "metrics-validate": validate_metrics,
     }
 
 
