@@ -26,7 +26,6 @@ from repro.errors import EbdaError
 from repro.routing.base import RoutingFunction
 from repro.sim.parallel import SweepEngine, SweepReport
 from repro.sim.runner import RunConfig, RunResult
-from repro.sim.runner import run_point as _run_point
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -54,10 +53,12 @@ def run_point(
     ``routing`` may be a live :class:`RoutingFunction`, a factory, or a
     named spec (``"xy"``, a catalog design name, arrow notation).  With
     ``cache`` enabled the point is served from / stored into the result
-    cache.  ``metrics=True`` (or a ready
-    :class:`~repro.sim.metrics.MetricsCollector`) attaches telemetry: the
-    finalized collector lands on ``result.metrics`` — and the point is
-    uncacheable, since a cache hit cannot replay samples.
+    cache.  The point runs through :meth:`SweepEngine.run_point
+    <repro.sim.parallel.SweepEngine.run_point>`, which appends a
+    ``run_point`` record when a run ledger is armed.  ``metrics=True``
+    (or a ready :class:`~repro.sim.metrics.MetricsCollector`) attaches
+    telemetry: the finalized collector lands on ``result.metrics`` — and
+    the point is uncacheable, since a cache hit cannot replay samples.
     ``backend=`` overrides the config's simulation engine
     (``"reference"`` or ``"vector"``; see :func:`repro.backends`).
 
@@ -66,7 +67,6 @@ def run_point(
     >>> run_point(Mesh(4, 4), "xy", RunConfig(cycles=200)).deadlocked
     False
     """
-    import time
     from dataclasses import replace
 
     config = config if config is not None else RunConfig()
@@ -74,44 +74,7 @@ def run_point(
         config = replace(config, metrics=metrics)
     if backend is not None:
         config = replace(config, backend=backend)
-    started = time.perf_counter()
-    if cache:
-        engine = SweepEngine(jobs=1, cache=cache)
-        result = engine.run_point(topology, routing, config, rule).result
-    else:
-        result = _run_point(topology, routing, config, rule)
-    record_point(
-        topology, routing, config, rule, result, time.perf_counter() - started
-    )
-    return result
-
-
-def record_point(topology, routing, config, rule, result, wall_s) -> None:
-    """Append a ``run_point`` ledger record when a ledger is configured.
-
-    Identity is the version-free :func:`~repro.sim.parallel.point_token`
-    (falling back to the routing name for unhashable specs); the outcome
-    digest covers the full deterministic stats dict, so drift in *any*
-    counter is visible to ``repro runs diff``.
-    """
-    from repro.obs.ledger import current_ledger, record_run
-
-    if current_ledger() is None:
-        return
-    from repro.sim.parallel import point_token
-
-    spec = point_token(topology, routing, config, rule)
-    if spec is None:
-        spec = f"unhashable:{result.routing_name}"
-    record_run(
-        "run_point",
-        spec=spec,
-        backend=config.backend,
-        seed=config.seed,
-        outcome="deadlock" if result.deadlocked else "ok",
-        payload=result.stats.to_dict(),
-        wall_s=wall_s,
-    )
+    return SweepEngine(cache=cache).run_point(topology, routing, config, rule).result
 
 
 def sweep(

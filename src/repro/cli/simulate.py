@@ -7,8 +7,7 @@ import sys
 import time
 
 from repro.cli import Verb, engine_from_args, parse_mesh, record, resolve_design, verb
-from repro.errors import FaultError
-from repro.store import atomic_write, canonical_json, digest
+from repro.store import atomic_write
 from repro.topology.classes import rule_for_design
 
 
@@ -67,63 +66,18 @@ def _parse_link(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise SystemExit(f"bad link spec {spec!r} (use e.g. 1,1-2,1): {exc}")
 
 
-#: The simulate arguments that decide a run (output paths excluded).
-_RUN_ARGS = (
-    "design", "mesh", "rate", "cycles", "length", "buffers", "seed",
-    "fail_link", "fail_at", "drops", "recover", "retries", "sample_every",
-)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.routing import TurnTableRouting
     from repro.sim import (
+        EbdaDesignFactory,
         FaultEvent,
         FaultSchedule,
-        NetworkSimulator,
         RecoveryPolicy,
         RunConfig,
-        TrafficConfig,
-        TrafficGenerator,
+        SweepEngine,
     )
 
-    design, suggested = resolve_design(args.design)
+    _design, suggested = resolve_design(args.design)
     mesh = parse_mesh(args.mesh)
-    rule = rule_for_design(suggested)
-    telemetry = bool(args.metrics_out or args.trace_out)
-
-    if (args.fail_link or args.drops or telemetry) and args.backend != "reference":
-        raise SystemExit(
-            f"--backend {args.backend} does not support faults or telemetry;"
-            " drop the flag (the reference engine handles these)"
-        )
-
-    if not (args.fail_link or args.drops or telemetry):
-        # Fault-free untelemetered point: run through the engine so
-        # --cache works (telemetry forces the direct path below — a
-        # metered point is uncacheable and needs the live collector).
-        from repro.api import record_point
-        from repro.sim import EbdaDesignFactory, SweepEngine
-
-        engine = engine_from_args(args) or SweepEngine()
-        config = RunConfig(
-            cycles=args.cycles,
-            injection_rate=args.rate,
-            packet_length=args.length,
-            buffer_depth=args.buffers,
-            watchdog=500,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        point = engine.run_point(mesh, EbdaDesignFactory(args.design), config, rule)
-        record_point(
-            mesh, EbdaDesignFactory(args.design), config, rule,
-            point.result, point.wall_time,
-        )
-        print(point.result.stats.summary(len(mesh.nodes)))
-        if point.cached:
-            print(f"(served from cache in {point.wall_time * 1000:.1f} ms)")
-        return 1 if point.result.deadlocked else 0
-
     events = [
         FaultEvent(args.fail_at, "link", link=_parse_link(spec))
         for spec in args.fail_link
@@ -132,60 +86,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         FaultEvent(args.fail_at + 10 * i, "drop") for i in range(args.drops)
     ]
     faults = FaultSchedule(events, seed=args.seed) if events else None
-
-    def routing_factory(topo):
-        return TurnTableRouting(
-            topo, design, rule,
-            directions="progressive", fallback="escape",
-            label=suggested or "custom",
-        )
-
-    recovery = RecoveryPolicy(max_retries=args.retries) if args.recover else None
-    tracer = None
-    collector = None
-    if args.trace_out:
-        from repro.sim import Trace
-
-        tracer = Trace()
-    if args.metrics_out:
-        from repro.sim import MetricsCollector
-
-        collector = MetricsCollector(sample_every=args.sample_every)
-    routing = TurnTableRouting(mesh, design, rule, label=suggested or "custom")
-    sim = NetworkSimulator(
-        mesh, routing, rule, buffer_depth=args.buffers,
-        tracer=tracer, metrics=collector,
-        faults=faults, recovery=recovery,
-        routing_factory=routing_factory if faults is not None else None,
-    )
-    traffic = TrafficGenerator(
-        mesh,
-        TrafficConfig(
-            injection_rate=args.rate, packet_length=args.length, seed=args.seed
+    config = RunConfig(
+        cycles=args.cycles,
+        injection_rate=args.rate,
+        packet_length=args.length,
+        buffer_depth=args.buffers,
+        watchdog=500,
+        seed=args.seed,
+        faults=faults,
+        recovery=RecoveryPolicy(max_retries=args.retries) if args.recover else None,
+        routing_factory=(
+            EbdaDesignFactory(args.design, directions="progressive", fallback="escape")
+            if faults is not None
+            else None
         ),
+        metrics=bool(args.metrics_out),
+        sample_every=args.sample_every,
+        trace=bool(args.trace_out),
+        backend=args.backend,
     )
-    started = time.perf_counter()
-    try:
-        stats = sim.run(args.cycles, traffic, drain=True)
-    except FaultError as exc:
-        raise SystemExit(f"fault schedule failed: {exc}")
-    run_args = canonical_json({name: getattr(args, name) for name in _RUN_ARGS})
-    record(
-        "run_point", "simulate:" + digest(run_args, 16),
-        backend=args.backend, seed=args.seed,
-        outcome="deadlock" if stats.deadlocked else "ok",
-        payload=stats.to_dict(), wall_s=time.perf_counter() - started,
+    engine = engine_from_args(args) or SweepEngine()
+    point = engine.run_point(
+        mesh, EbdaDesignFactory(args.design), config, rule_for_design(suggested)
     )
-    print(stats.summary(len(mesh.nodes)))
-    if sim.last_reroute_verdict is not None:
-        print(f"rerouted design: {sim.last_reroute_verdict}")
-    if collector is not None:
-        n = collector.to_jsonl(args.metrics_out, stats=stats)
+    result = point.result
+    print(result.stats.summary(len(mesh.nodes)))
+    if result.reroute_verdict is not None:
+        print(f"rerouted design: {result.reroute_verdict}")
+    if point.cached:
+        print(f"(served from cache in {point.wall_time * 1000:.1f} ms)")
+    if result.metrics is not None:
+        n = result.metrics.to_jsonl(args.metrics_out, stats=result.stats)
         print(f"metrics: {n} records -> {args.metrics_out} (try: repro inspect)")
-    if tracer is not None:
-        n = tracer.to_jsonl(args.trace_out)
+    if result.trace is not None:
+        n = result.trace.to_jsonl(args.trace_out)
         print(f"trace: {n} records -> {args.trace_out}")
-    return 1 if stats.deadlocked else 0
+    return 1 if result.deadlocked else 0
 
 
 @verb(
@@ -277,9 +213,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sample_every=args.sample_every,
         backend=args.backend,
     )
-    from repro.sim import check_run_config, resolve_backend
-
-    check_run_config(resolve_backend(args.backend), config)
     report = engine.sweep(mesh, args.routing, rates, config)
     print(compare_table({args.routing: report.results}))
     sat = saturation_rate(report.results)

@@ -13,7 +13,9 @@ Two engines can execute a :class:`~repro.sim.runner.RunConfig` point:
 :func:`backends` lists what each engine supports; :func:`resolve_backend`
 maps a name to its :class:`BackendInfo`; :func:`check_run_config` rejects
 configs that request features a backend lacks with a
-:class:`~repro.errors.ConfigError` *before* any simulation starts.
+:class:`~repro.errors.ConfigError` *before* any simulation starts.  It
+runs once per point, in :meth:`~repro.sim.parallel.SweepEngine.run_many`,
+ahead of the cache lookup, so a cache hit is refused exactly as a miss.
 
 Because every registered backend is cycle-exact, the result cache keys
 points without the backend name (see
@@ -134,6 +136,8 @@ def check_run_config(info: BackendInfo, config) -> None:
 
     if not info.supports_metrics and config.metrics not in (None, False):
         raise refuse("metrics= telemetry")
+    if not info.supports_tracer and config.trace:
+        raise refuse("event tracing (trace=)")
     if not info.supports_faults and config.faults is not None:
         raise refuse("fault injection (faults=)")
     if not info.supports_recovery and config.recovery is not None:

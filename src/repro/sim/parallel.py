@@ -23,7 +23,8 @@ Cache-key contract (what invalidates a cached point):
   their spec tokens; fault schedules event by event) — except
   ``backend``, which is deliberately excluded: every registered backend
   is cycle-exact (:mod:`repro.sim.backend`), so a point simulated by one
-  backend is a valid hit for the other;
+  backend is a valid hit for the other — and the observers ``metrics``,
+  ``trace`` and ``sample_every`` (an observed point is never cached);
 * the library version (:data:`repro.__version__`) and the cache schema.
 
 A point whose spec has no stable token (a lambda pattern, a closure
@@ -39,11 +40,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.routing.base import RoutingFunction
+from repro.sim.backend import check_run_config, resolve_backend
 from repro.sim.runner import RunConfig, RunResult, run_point
 from repro.sim.specs import resolve_routing_factory, spec_token
 from repro.sim.stats import SimStats
@@ -96,16 +98,36 @@ def _routing_token(routing: object) -> str | None:
     return None
 
 
-def _config_token(config: RunConfig) -> str | None:
-    """Canonical string of every RunConfig field, or None when uncacheable."""
+#: Token for a value without a stable one: None (no token) or a stand-in.
+_Fallback = Callable[[object], "str | None"]
+
+
+def _no_token(value: object) -> None:
+    return None
+
+
+def _name_token(value: object) -> str:
+    """Stand-in token for a spec without a stable one: its name."""
+    name = getattr(value, "__qualname__", None) or type(value).__name__
+    return f"unhashable:{name}"
+
+
+#: Fields that observe a point without changing its result: a point's
+#: identity is computed as if they held their defaults.
+_OBSERVERS = ("metrics", "sample_every")
+
+
+def _config_token(config: RunConfig, fallback: _Fallback = _no_token) -> str | None:
+    """Canonical string of every RunConfig field, or None when a field has
+    no stable token and ``fallback`` gives none either."""
     parts: list[str] = []
     for f in fields(config):
-        if f.name == "backend":
+        if f.name in ("backend", "trace"):
             # Backends are cycle-exact (repro.sim.backend): identical
             # stats either way, so keys stay backend-agnostic and the
-            # engines share cache entries.
+            # engines share cache entries.  ``trace`` only observes.
             continue
-        value = getattr(config, f.name)
+        value = f.default if f.name in _OBSERVERS else getattr(config, f.name)
         if f.name in ("pattern", "selection", "metrics", "workload"):
             token = spec_token(f.name, value)
         elif f.name == "routing_factory":
@@ -119,9 +141,39 @@ def _config_token(config: RunConfig) -> str | None:
         else:
             token = repr(value)
         if token is None:
-            return None
+            token = fallback(value)
+            if token is None:
+                return None
         parts.append(f"{f.name}={token}")
     return "|".join(parts)
+
+
+def _point_material(
+    topology: Topology,
+    routing: object,
+    config: RunConfig,
+    rule: ClassRule,
+    fallback: _Fallback = _no_token,
+) -> str | None:
+    routing_token = _routing_token(routing) or fallback(routing)
+    config_token = _config_token(config, fallback)
+    rule_token = spec_token("rule", rule) or fallback(rule)
+    if routing_token is None or config_token is None or rule_token is None:
+        return None
+    return "\n".join(
+        [
+            f"topology={topology_token(topology)}",
+            f"routing={routing_token}",
+            f"rule={rule_token}",
+            f"config={config_token}",
+        ]
+    )
+
+
+def _with_rates(point: str, rates: Sequence[float]) -> str:
+    return digest(
+        f"point={point}\nrates={','.join(repr(float(r)) for r in rates)}", 16
+    )
 
 
 def point_token(
@@ -136,23 +188,13 @@ def point_token(
     This is the run ledger's spec token (:mod:`repro.obs.ledger`): two
     library versions running the same point share it, which is exactly
     what lets ``repro runs diff`` detect cross-version result drift.
+    Observers (``metrics``, ``trace``, ``sample_every``) do not enter
+    it, so a metered point shares its identity with the plain one.
     The result cache builds :func:`cache_key` on top by adding the cache
     schema and library version.
     """
-    routing_token = _routing_token(routing)
-    config_token = _config_token(config)
-    rule_token = spec_token("rule", rule)
-    if routing_token is None or config_token is None or rule_token is None:
-        return None
-    material = "\n".join(
-        [
-            f"topology={topology_token(topology)}",
-            f"routing={routing_token}",
-            f"rule={rule_token}",
-            f"config={config_token}",
-        ]
-    )
-    return digest(material, 16)
+    material = _point_material(topology, routing, config, rule)
+    return None if material is None else digest(material, 16)
 
 
 def sweep_token(
@@ -164,10 +206,30 @@ def sweep_token(
 ) -> str | None:
     """A version-free 16-hex identity for a whole rate sweep, or None."""
     base = point_token(topology, routing, config, rule)
-    if base is None:
-        return None
-    material = f"point={base}\nrates={','.join(repr(float(r)) for r in rates)}"
-    return digest(material, 16)
+    return None if base is None else _with_rates(base, rates)
+
+
+def _ledger_spec(
+    topology: Topology,
+    routing: object,
+    config: RunConfig,
+    rule: ClassRule = no_classes,
+    rates: Sequence[float] | None = None,
+) -> str:
+    """The run ledger's spec for a point, or for a sweep given ``rates``.
+
+    It is :func:`point_token` / :func:`sweep_token` when those are stable.
+
+    A spec without a stable token (a lambda factory or pattern) is named
+    ``unhashable:<16-hex>``, digested from every other field's token plus
+    the unstable values' names, so unrelated runs do not share it.
+    """
+    token = point_token(topology, routing, config, rule)
+    prefix = ""
+    if token is None:
+        material = _point_material(topology, routing, config, rule, _name_token)
+        token, prefix = digest(material, 16), "unhashable:"
+    return prefix + (token if rates is None else _with_rates(token, rates))
 
 
 def cache_key(
@@ -176,11 +238,15 @@ def cache_key(
     config: RunConfig,
     rule: ClassRule = no_classes,
 ) -> str | None:
-    """The content-addressed key for one point, or None when uncacheable."""
+    """The content-addressed key for one point, or None when uncacheable.
+
+    Metered and traced points are uncacheable: a hit replays the stored
+    stats but not the samples or events an observer would have taken.
+    """
     import repro
 
     token = point_token(topology, routing, config, rule)
-    if token is None:
+    if token is None or config.trace or spec_token("metrics", config.metrics) is None:
         return None
     material = "\n".join(
         [
@@ -431,30 +497,12 @@ class SweepEngine:
         config: RunConfig,
         rule: ClassRule = no_classes,
     ) -> PointOutcome:
-        """One point, in-process, cache-aware."""
-        tracer = current_tracer()
-        with tracer.span("sweep.point", backend=config.backend) as span:
-            key = (
-                cache_key(topology, routing, config, rule)
-                if self.cache is not None
-                else None
-            )
-            if key is not None and self.cache is not None:
-                cached = self._load(key, config)
-                if cached is not None:
-                    REGISTRY.counter(_HITS, help=_HITS_HELP).inc()
-                    span.set(cached=True)
-                    return cached
-            result, elapsed = _execute_point((topology, routing, config, rule))
-            if self.cache is not None:
-                REGISTRY.counter(_MISSES, help=_MISSES_HELP).inc()
-            REGISTRY.histogram(
-                _SIM_SECONDS, labels={"backend": config.backend}, help=_SIM_HELP
-            ).observe(elapsed)
-            if key is not None and self.cache is not None:
-                self.cache.put(key, result, elapsed)
-            span.set(cached=False)
-            return PointOutcome(result, elapsed, cached=False, key=key)
+        """One point: :meth:`run_many` of one, recorded as a ``run_point``
+        ledger record when a ledger is armed."""
+        report = self.run_many([(topology, routing, config)], rule)
+        (point,) = report.points
+        self._record("run_point", topology, routing, config, rule, report, None)
+        return point
 
     def _load(self, key: str, config: RunConfig) -> PointOutcome | None:
         start = time.perf_counter()
@@ -498,15 +546,20 @@ class SweepEngine:
     ) -> SweepReport:
         """Run ``(topology, routing-spec, config)`` points, preserving order.
 
-        Cache hits load immediately; misses fan out over the process pool
-        when ``jobs > 1`` and every miss payload is picklable, otherwise
-        they run in-process (same results, serially).
+        Every point's config is first checked against its backend
+        (:func:`~repro.sim.backend.check_run_config`), so a point the
+        backend cannot run is refused whether or not it is cached.  Cache
+        hits load immediately; misses fan out over the process pool when
+        ``jobs > 1`` and every miss payload is picklable, otherwise they
+        run in-process (same results, serially).
         """
         started = time.perf_counter()
         stage_times = {
             "cache_read": 0.0, "spawn": 0.0, "simulate": 0.0, "cache_write": 0.0,
         }
         work = [(t, r, c, rule) for (t, r, c) in points]
+        for _topology, _routing, config, _rule in work:
+            check_run_config(resolve_backend(config.backend), config)
         outcomes: list[PointOutcome | None] = [None] * len(work)
         tracer = current_tracer()
         with tracer.span(
@@ -596,41 +649,39 @@ class SweepEngine:
     ) -> SweepReport:
         """Latency/throughput curve over injection rates, one point per rate.
 
-        The parallel analogue of :func:`repro.sim.runner.sweep_rates`;
-        named specs keep the fan-out picklable, raw factories degrade to
-        the in-process path automatically.
+        :func:`repro.sim.runner.sweep_rates` runs through here; named
+        specs keep the fan-out picklable, raw factories degrade to the
+        in-process path automatically.
         """
         if not isinstance(routing_factory, str):
             # Fail fast on typos; string specs resolve in the workers.
             resolve_routing_factory(routing_factory)
         points = [(topology, routing_factory, config.with_rate(r)) for r in rates]
         report = self.run_many(points, rule)
-        self._ledger_sweep(topology, routing_factory, rates, config, rule, report)
+        self._record("sweep", topology, routing_factory, config, rule, report, rates)
         return report
 
-    def _ledger_sweep(
-        self, topology, routing_factory, rates, config, rule, report
-    ) -> None:
-        """Append a ``sweep`` ledger record when a ledger is configured.
+    def _record(self, kind, topology, routing, config, rule, report, rates) -> None:
+        """Append a ``run_point`` or ``sweep`` ledger record when a ledger
+        is configured.
 
-        Identity is the version-free :func:`sweep_token`; the outcome
-        digest covers every point's deterministic stats dict, in rate
-        order, so any drifting point flips the sweep's digest.
+        Identity is the version-free :func:`_ledger_spec`; the outcome
+        digest covers the point's deterministic stats dict (a sweep's:
+        every point's, in rate order), so drift in any counter of any
+        point is visible to ``repro runs diff``.
         """
         from repro.obs.ledger import current_ledger, record_run
 
         if current_ledger() is None:
             return
-        spec = sweep_token(topology, routing_factory, rates, config, rule)
-        if spec is None:
-            spec = f"unhashable:{getattr(routing_factory, '__name__', routing_factory)}"
+        payload = [r.stats.to_dict() for r in report.results]
         deadlocked = any(r.deadlocked for r in report.results)
         record_run(
-            "sweep",
-            spec=spec,
+            kind,
+            spec=_ledger_spec(topology, routing, config, rule, rates),
             backend=config.backend,
             seed=config.seed,
             outcome="deadlock" if deadlocked else "ok",
-            payload=[r.stats.to_dict() for r in report.results],
+            payload=payload if rates is not None else payload[0],
             wall_s=report.wall_time,
         )

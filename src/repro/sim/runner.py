@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.routing.base import RoutingFunction
 from repro.routing.selection import SelectionPolicy
-from repro.sim.backend import check_run_config, resolve_backend, simulator_class
+from repro.sim.backend import simulator_class
 from repro.sim.faults import FaultSchedule, RecoveryPolicy
 from repro.sim.patterns import TrafficPattern
 from repro.sim.specs import (
@@ -82,6 +82,10 @@ class RunConfig:
     metrics: "object | bool | None" = None
     #: Sampling interval (cycles) when ``metrics=True``.
     sample_every: int = 100
+    #: ``True`` attaches a fresh :class:`~repro.sim.trace.Trace` per point,
+    #: left on :attr:`RunResult.trace`.  Like ``metrics``, it observes
+    #: without changing the result, and a traced point is uncacheable.
+    trace: bool = False
     #: Traced-workload mode: a :class:`~repro.chaos.workloads.WorkloadTrace`
     #: (or a :data:`~repro.chaos.workloads.NAMED_WORKLOADS` name) replaces
     #: the Bernoulli :class:`~repro.sim.traffic.TrafficGenerator` —
@@ -111,6 +115,12 @@ class RunResult:
     #: The finalized collector when the point ran metered (None otherwise,
     #: including cache hits — a hit replays stats, not samples).
     metrics: "object | None" = None
+    #: The event trace when the point ran with ``trace=True`` (None
+    #: otherwise, including cache hits).
+    trace: "object | None" = None
+    #: The deadlock verdict on the last design rebuilt after a permanent
+    #: fault (None when nothing was rerouted, and on cache hits).
+    reroute_verdict: "object | None" = None
 
     @property
     def avg_latency(self) -> float:
@@ -139,16 +149,17 @@ def run_point(
     config: RunConfig,
     rule: ClassRule = no_classes,
 ) -> RunResult:
-    """Run one simulation point.
+    """Run one simulation point: the only code that turns a RunConfig into a simulator.
 
     ``routing`` may be a ready :class:`RoutingFunction`, a factory, or a
     named routing spec (``"xy"``, any catalog design name, arrow
-    notation) resolved via :mod:`repro.sim.specs`.
+    notation) resolved via :mod:`repro.sim.specs`.  Backend capabilities
+    are checked by :meth:`~repro.sim.parallel.SweepEngine.run_many`; a
+    direct call with a config the backend lacks is refused by the
+    simulator's constructor.
     """
     if not isinstance(routing, RoutingFunction):
         routing = resolve_routing_factory(routing)(topology)
-    backend = resolve_backend(config.backend)
-    check_run_config(backend, config)
     routing_factory = config.routing_factory
     if isinstance(routing_factory, str):
         routing_factory = resolve_routing_factory(routing_factory)
@@ -159,7 +170,12 @@ def run_point(
         collector = MetricsCollector(sample_every=config.sample_every)
     elif collector is False:
         collector = None
-    sim = simulator_class(backend.name)(
+    tracer = None
+    if config.trace:
+        from repro.sim.trace import Trace
+
+        tracer = Trace()
+    sim = simulator_class(config.backend)(
         topology,
         routing,
         rule,
@@ -168,6 +184,7 @@ def run_point(
         atomic_buffers=config.atomic_buffers,
         watchdog=config.watchdog,
         seed=config.seed,
+        tracer=tracer,
         metrics=collector,
         faults=config.faults,
         recovery=config.recovery,
@@ -196,7 +213,9 @@ def run_point(
     if collector is not None:
         collector.finalize()
     return RunResult(
-        routing.name, config, stats, len(topology.nodes), metrics=collector
+        routing.name, config, stats, len(topology.nodes),
+        metrics=collector, trace=tracer,
+        reroute_verdict=getattr(sim, "last_reroute_verdict", None),
     )
 
 
@@ -212,10 +231,11 @@ def sweep_rates(
 ) -> list[RunResult]:
     """Latency/throughput curve over injection rates (one fresh net per point).
 
-    ``engine=`` (a :class:`~repro.sim.parallel.SweepEngine`) or ``jobs=``
-    routes the sweep through the parallel engine — same results, fanned
-    out over processes, with optional result caching.  The default stays
-    the deterministic serial loop.
+    Runs through :meth:`SweepEngine.sweep <repro.sim.parallel.SweepEngine.sweep>`:
+    ``engine=`` supplies the engine (for its process pool and result
+    cache), ``jobs=`` builds one with that many workers, and the default
+    is the deterministic in-process engine.  Like every engine sweep, it
+    appends a ``sweep`` record when a run ledger is armed.
 
     .. versionchanged:: 1.6
         Passing ``rule`` positionally (deprecated since 1.1) is now an
@@ -230,19 +250,11 @@ def sweep_rates(
     if rule is None:
         rule = no_classes
 
-    if engine is None and jobs is not None:
+    if engine is None:
         from repro.sim.parallel import SweepEngine
 
-        engine = SweepEngine(jobs=jobs)
-    if engine is not None:
-        return engine.sweep(topology, routing_factory, rates, config, rule=rule).results
-
-    factory = resolve_routing_factory(routing_factory)
-    results = []
-    for rate in rates:
-        routing = factory(topology)
-        results.append(run_point(topology, routing, config.with_rate(rate), rule))
-    return results
+        engine = SweepEngine(jobs=jobs or 1)
+    return engine.sweep(topology, routing_factory, rates, config, rule=rule).results
 
 
 def saturation_rate(

@@ -126,3 +126,77 @@ class TestLedgerDeterminism:
         assert first.wall_s != second.wall_s or first.wall_s >= 0
         assert first.identity == second.identity
         assert first.digest == second.digest
+
+
+class TestLedgerIdentity:
+    """A point's ledger identity depends on its design and traffic alone."""
+
+    def test_point_token_pins(self):
+        # Values computed by the release before observers left the token:
+        # unmetered identities must not move.
+        from repro.sim import EbdaDesignFactory, FaultEvent, FaultSchedule, RecoveryPolicy
+        from repro.topology.classes import rule_for_design
+
+        faulted = RunConfig(
+            cycles=300, injection_rate=0.1, seed=1,
+            faults=FaultSchedule(
+                [FaultEvent(100, "link", link=((1, 1), (2, 1))), FaultEvent(100, "drop")],
+                seed=1,
+            ),
+            recovery=RecoveryPolicy(max_retries=8),
+            routing_factory=EbdaDesignFactory(
+                "west-first", directions="progressive", fallback="escape"
+            ),
+        )
+        mesh = Mesh(4, 4)
+        assert point_token(mesh, "xy", RunConfig()) == "9c2c0711916aba78"
+        assert point_token(
+            Mesh(3, 3), "west-first", RunConfig(cycles=200, injection_rate=0.2, seed=4)
+        ) == "886f2471c921ac4a"
+        assert point_token(
+            mesh, EbdaDesignFactory("west-first"), faulted, rule_for_design("west-first")
+        ) == "18a9a4815ff0feb3"
+        assert sweep_token(mesh, "xy", [0.05, 0.1], RunConfig(cycles=200)) == "e882c222f6ac2658"
+
+    def test_observers_leave_identity_but_not_cache_key(self):
+        mesh = Mesh(4, 4)
+        plain = point_token(mesh, "xy", CONFIG)
+        for observed in (
+            RunConfig(cycles=150, seed=7, watchdog=300, metrics=True, sample_every=10),
+            RunConfig(cycles=150, seed=7, watchdog=300, trace=True),
+        ):
+            assert point_token(mesh, "xy", observed) == plain
+            assert cache_key(mesh, "xy", observed) is None
+        assert cache_key(mesh, "xy", CONFIG) is not None
+
+    def test_metered_points_get_distinct_specs_and_no_drift(self, tmp_path, capsys):
+        from repro.cli import main
+
+        set_ledger(tmp_path)
+        try:
+            for mesh, rate in ((Mesh(4, 4), 0.05), (Mesh(4, 4), 0.1),
+                               (Mesh(3, 3), 0.05), (Mesh(3, 3), 0.1)):
+                run_point(mesh, "xy", RunConfig(cycles=150, injection_rate=rate),
+                          metrics=True)
+        finally:
+            set_ledger(None)
+        records = RunLedger(tmp_path).records()
+        assert len({r.spec for r in records}) == 4
+        assert RunLedger(tmp_path).drift() == []
+        assert main(["runs", "diff", "--ledger", str(tmp_path)]) == 0
+
+    def test_unhashable_sweeps_on_two_meshes_do_not_drift(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.routing.deterministic import xy_routing
+
+        set_ledger(tmp_path)
+        try:
+            for mesh in (Mesh(4, 4), Mesh(3, 3)):
+                SweepEngine().sweep(mesh, lambda t: xy_routing(t), [0.05], CONFIG)
+        finally:
+            set_ledger(None)
+        first, second = RunLedger(tmp_path).records()
+        assert first.spec.startswith("unhashable:")
+        assert first.spec != second.spec
+        assert main(["runs", "diff", "--ledger", str(tmp_path)]) == 0
+        assert "no drift" in capsys.readouterr().out

@@ -62,6 +62,11 @@ class TestCheckRunConfig:
                 RunConfig(recovery=RecoveryPolicy(max_retries=2)),
             )
 
+    def test_vector_rejects_trace(self):
+        assert not resolve_backend("vector").supports_tracer
+        with pytest.raises(ConfigError, match="event tracing"):
+            check_run_config(resolve_backend("vector"), RunConfig(trace=True))
+
     def test_vector_accepts_callable_first_policy(self):
         from repro.routing.selection import first_candidate
 
@@ -98,6 +103,19 @@ class TestCacheKeySharing:
         second = engine.run_point(mesh4, "xy", cfg)
         assert second.cached
         assert second.result.stats.to_dict() == first.result.stats.to_dict()
+
+
+    def test_cache_hit_refused_like_a_miss(self, mesh4, tmp_path):
+        from dataclasses import replace
+
+        from repro.sim import SweepEngine
+
+        engine = SweepEngine(cache=tmp_path)
+        cfg = RunConfig(cycles=200, selection="random")
+        assert not engine.run_point(mesh4, "xy", cfg).cached
+        assert engine.run_point(mesh4, "xy", cfg).cached
+        with pytest.raises(ConfigError, match="selection"):
+            engine.run_point(mesh4, "xy", replace(cfg, backend="vector"))
 
 
 class TestStageTimesSplit:

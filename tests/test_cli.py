@@ -109,6 +109,49 @@ class TestSimulateCache:
             main(["simulate", "xy", "--mesh", "4x4", "--jobs", "0"])
 
 
+class TestBackendFlag:
+    ARGS = ["--mesh", "4x4", "--cycles", "200", "--rate", "0.05"]
+
+    def _cache(self, tmp_path):
+        return ["--cache", "--cache-dir", str(tmp_path)]
+
+    def test_vector_prints_reference_stats(self, capsys):
+        assert main(["simulate", "xy", *self.ARGS, "--backend", "reference"]) == 0
+        reference = capsys.readouterr().out
+        assert main(["simulate", "xy", *self.ARGS, "--backend", "vector"]) == 0
+        assert capsys.readouterr().out == reference
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sweep_vector_refuses_random_selection(self, tmp_path, capsys, cached):
+        argv = ["sweep", "xy", "--mesh", "4x4", "--rates", "0.05", "--cycles", "200",
+                "--selection", "random", *self._cache(tmp_path)]
+        if cached:
+            assert main(argv) == 0
+            assert main(argv) == 0
+            assert "cache 1 hit/0 miss" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="does not support selection='random'"):
+            main(argv + ["--backend", "vector"])
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_simulate_vector_refuses_metrics(self, tmp_path, capsys, cached):
+        argv = ["simulate", "xy", *self.ARGS, *self._cache(tmp_path)]
+        if cached:
+            assert main(argv) == 0
+            assert main(argv) == 0
+            assert "served from cache" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="does not support metrics= telemetry"):
+            main(argv + ["--backend", "vector", "--metrics-out", str(tmp_path / "m.jsonl")])
+
+    def test_simulate_vector_refuses_a_cached_faulted_point(self, tmp_path, capsys):
+        argv = ["simulate", "negative-first", *self.ARGS, "--drops", "1",
+                *self._cache(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "served from cache" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="does not support fault injection"):
+            main(argv + ["--backend", "vector"])
+
+
 class TestSweepCommand:
     def test_table_and_summary(self, capsys, tmp_path):
         argv = ["sweep", "west-first", "--mesh", "4x4",

@@ -14,7 +14,7 @@ from repro.obs.ledger import outcome_digest
 CLI_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro" / "cli"
 
 #: A small invocation per recording verb, and the record kind it appends.
-#: ``simulate`` appears twice: the engine path and the direct fault path.
+#: ``simulate`` appears twice: a plain point and a faulted one.
 SMALL = {
     "run": [(["run", "Fig4"], "experiment")],
     "simulate": [
@@ -112,11 +112,15 @@ def test_run_records_one_experiment_per_id(tmp_path, capsys):
 def test_simulate_direct_spec_ignores_output_paths(tmp_path, capsys):
     ledger = tmp_path / "ledger"
     base = ["simulate", "xy", "--mesh", "4x4", "--cycles", "150", "--ledger", str(ledger)]
+    main(base)
     main(base + ["--metrics-out", str(tmp_path / "a.jsonl")])
     main(base + ["--metrics-out", str(tmp_path / "b.jsonl")])
-    first, second = RunLedger(ledger).records()
-    assert first.spec.startswith("simulate:")
-    assert first.run_id == second.run_id and first.digest == second.digest
+    main(base + ["--trace-out", str(tmp_path / "t.jsonl")])
+    records = RunLedger(ledger).records()
+    assert len(records) == 4
+    # Observers do not enter a point's identity: metered, traced and plain
+    # runs of one point are one run with one outcome.
+    assert len({(r.kind, r.spec, r.run_id, r.digest) for r in records}) == 1
 
 
 def _modules():

@@ -8,7 +8,9 @@ anything:
 * ``<file>.py::<name>[::<name>]`` — the file must exist, relative to the
   repository root or to ``src/repro``, and define that class/function
   chain at module level (checked on the file's AST);
-* ``<top-level dir>/<path>.<ext>`` — the path must exist.
+* ``<top-level dir>/<path>`` — the file or directory must exist.  The
+  source tree counts from ``src/repro``, so prose such as ``src/dst``
+  (source/destination) is not read as a path.
 
 The change log names files as they were when each entry was written, and
 the paper and related-work notes quote other code bases, so neither is
@@ -21,10 +23,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".github/workflows/ci.yml")
-TOP_DIRS = ("src", "tests", "tools", "benchmarks", "docs", "examples", "perfbench")
+TOP_DIRS = ("src/repro", "tests", "tools", "benchmarks", "docs", "examples", "perfbench")
 
 NODE_ID = re.compile(r"(?<![\w/.*-])([\w./-]+\.py)::(\w+(?:::\w+)*)")
-REPO_PATH = re.compile(r"(?<![\w/.*<-])((?:%s)/[\w./*<>{}-]*\.\w+)" % "|".join(TOP_DIRS))
+REPO_PATH = re.compile(r"(?<![\w/.*<-])((?:%s)/[\w./*<>{}-]*[\w*<>{}-])" % "|".join(TOP_DIRS))
 
 
 def _documents():
@@ -78,9 +80,12 @@ def test_checker_flags_missing_files_and_tests():
         "`benchmarks/bench_tables.py::test_table1` `bench_tables.py::test_table1_max_adaptiveness`"
         " `benchmarks/bench_table1.py` `benchmarks/bench_tables.py::test_table1_max_adaptiveness`"
         " `core/theorems.py::uturn_allowed` `tools/ci_*_check.py`"
+        " --replay tests/fuzz/corpus --replay tests/fuzz/corpora."
+        " src/dst pairs, src/dst/length/age"
     )
     assert _broken_citations(text) == [
         "benchmarks/bench_tables.py::test_table1",
         "bench_tables.py::test_table1_max_adaptiveness",
         "benchmarks/bench_table1.py",
+        "tests/fuzz/corpora",
     ]

@@ -1,0 +1,140 @@
+"""One run path for simulation points.
+
+``repro.sim.runner.run_point`` is the only code that turns a ``RunConfig``
+into a simulator, and ``SweepEngine.run_many`` the only code that looks
+points up, runs them and stores them.  Observing a point (metrics, a
+trace) therefore never changes its result or its ledger identity, and the
+CLI gives the same stats as the library.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import main
+from repro.obs import RunLedger, set_ledger
+from repro.obs.ledger import outcome_digest
+from repro.sim import (
+    EbdaDesignFactory,
+    FaultEvent,
+    FaultSchedule,
+    RecoveryPolicy,
+    RunConfig,
+)
+from repro.topology import Mesh
+from repro.topology.classes import rule_for_design
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+POINT = ["simulate", "west-first", "--mesh", "4x4", "--cycles", "300",
+         "--rate", "0.1", "--seed", "1"]
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_ledger(monkeypatch):
+    monkeypatch.delenv("REPRO_EBDA_LEDGER_DIR", raising=False)
+    previous = set_ledger(None)
+    yield
+    set_ledger(previous)
+
+
+def _stats_line(capsys) -> str:
+    return capsys.readouterr().out.splitlines()[0]
+
+
+class TestObserversDoNotChangeTheRun:
+    def test_metrics_and_trace_print_the_plain_stats(self, tmp_path, capsys):
+        assert main(POINT) == 0
+        plain = _stats_line(capsys)
+        assert "delivered=461" in plain
+        assert main(POINT + ["--metrics-out", str(tmp_path / "m.jsonl")]) == 0
+        assert _stats_line(capsys) == plain
+        assert main(POINT + ["--trace-out", str(tmp_path / "t.jsonl")]) == 0
+        assert _stats_line(capsys) == plain
+        assert (tmp_path / "m.jsonl").stat().st_size > 0
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
+
+    def test_traced_point_is_uncached_and_keeps_its_trace(self, tmp_path):
+        config = RunConfig(cycles=150, trace=True)
+        for _ in range(2):
+            result = repro.run_point(Mesh(4, 4), "xy", config, cache=tmp_path)
+            assert result.trace is not None and len(result.trace.events) > 0
+        assert not list(tmp_path.glob("*.json"))
+
+
+class TestFaultedSimulate:
+    ARGS = ["simulate", "negative-first", "--mesh", "4x4", "--cycles", "300",
+            "--rate", "0.1", "--seed", "1", "--fail-link", "1,1-2,1",
+            "--drops", "2", "--recover"]
+
+    def _library_stats(self):
+        faults = FaultSchedule(
+            [FaultEvent(100, "link", link=((1, 1), (2, 1))),
+             FaultEvent(100, "drop"), FaultEvent(110, "drop")],
+            seed=1,
+        )
+        config = RunConfig(
+            cycles=300, injection_rate=0.1, watchdog=500, seed=1, faults=faults,
+            recovery=RecoveryPolicy(max_retries=8),
+            routing_factory=EbdaDesignFactory(
+                "negative-first", directions="progressive", fallback="escape"
+            ),
+        )
+        return repro.run_point(
+            Mesh(4, 4), EbdaDesignFactory("negative-first"), config,
+            rule=rule_for_design("negative-first"),
+        ).stats
+
+    def test_matches_library_and_is_served_from_cache(self, tmp_path, capsys):
+        stats = self._library_stats()
+        ledger = tmp_path / "ledger"
+        argv = self.ARGS + ["--cache", "--cache-dir", str(tmp_path / "cache"),
+                            "--ledger", str(ledger)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert cold.splitlines()[0] == stats.summary(16)
+        assert "rerouted design:" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert warm.splitlines()[0] == stats.summary(16)
+        assert "served from cache" in warm
+        first, second = RunLedger(ledger).records()
+        assert first.digest == second.digest == outcome_digest(stats.to_dict())
+
+
+def _calls(name: str):
+    """``(path, call)`` for every call of ``name`` (bare or attribute) in src/repro."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                yield path.relative_to(SRC), node
+
+
+class TestStructure:
+    def test_cli_builds_no_simulator(self):
+        built = [
+            f"{path}:{call.lineno}"
+            for name in ("NetworkSimulator", "VectorSimulator")
+            for path, call in _calls(name)
+            if path.parts[0] == "cli"
+        ]
+        assert built == []
+
+    def test_backend_check_has_one_call_site(self):
+        assert [path for path, _ in _calls("check_run_config")] == [Path("sim/parallel.py")]
+
+    def test_run_point_kind_recorded_at_one_site(self):
+        sites = [
+            path
+            for name in ("record_run", "record", "_record")
+            for path, call in _calls(name)
+            if any(
+                isinstance(arg, ast.Constant) and arg.value == "run_point"
+                for arg in [*call.args, *(k.value for k in call.keywords)]
+            )
+        ]
+        assert sites == [Path("sim/parallel.py")]
