@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import ClassVar, Sequence
 
 from repro.errors import TopologyError
+from repro.store import digest
 
 Coord = tuple[int, ...]
 
@@ -95,6 +96,20 @@ class Topology(ABC):
         """Nodes that source/sink traffic (all of them, unless a topology
         distinguishes terminals from switches — e.g. fat-trees)."""
         return self.nodes
+
+    @cached_property
+    def content_token(self) -> str:
+        """A content-addressed token for this topology.
+
+        ``repr`` alone distinguishes the stock shapes (``Mesh(4, 4)``); the
+        link digest additionally catches degraded/irregular instances whose
+        repr under-describes the wiring.  Computed once per object (a
+        topology never changes after construction) and pickled with it.
+        """
+        links = "\n".join(
+            f"{l.src}>{l.dst}:{l.dim}{l.sign:+d}" for l in sorted(self.links)
+        )
+        return f"{self!r}|n={len(self.nodes)}|links={digest(links, 16)}"
 
     @cached_property
     def node_set(self) -> frozenset[Coord]:
