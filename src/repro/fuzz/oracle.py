@@ -34,14 +34,17 @@ continuations close global rings a minimal router never takes), and
 class-level ring checks do not model engine legality, so the wrap-ring
 closure check and topology-aware lint rules apply to table designs only.
 
-Every simulation run is additionally mirrored on the vector backend
-(:class:`~repro.sim.vector.VectorSimulator`, same traffic, same seeds)
-when the profile's ``compare_backends`` is on: the two engines claim
-cycle-exactness, so any difference in the resulting
-:meth:`~repro.sim.stats.SimStats.to_dict` — deadlock declaration cycle
-included — is the hard disagreement ``backend-divergence``.  Designs
-outside the vector engine's scope (custom selections, faults) simply
-skip the mirror; ``backend_agree`` stays ``None`` for them.
+Every simulation run is additionally replayed on the vector backend
+(same traffic, same seeds) when the profile's ``compare_backends`` is
+on.  A trial's adversarial runs replay together, as the replicas of one
+:func:`~repro.sim.vector.run_batch` (one kernel step loop for all of
+them); the crafted-ring run, with its own routing and watchdog, is a
+batch of one.  The two engines claim cycle-exactness, so any difference
+in the resulting :meth:`~repro.sim.stats.SimStats.to_dict` — deadlock
+declaration cycle included — is the hard disagreement
+``backend-divergence``.  Designs outside the vector engine's scope
+(custom selections, faults) simply skip the mirror; ``backend_agree``
+stays ``None`` for them.
 
 The theory says theorem-safe ⟹ CDG-acyclic ⟹ no simulator deadlock, so
 any edge violated in that chain is a **hard disagreement**:
@@ -76,6 +79,7 @@ lie inside the CDG's cyclic core.
 
 from __future__ import annotations
 
+import itertools
 import traceback
 from dataclasses import dataclass, field
 
@@ -103,7 +107,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.network import NetworkSimulator
 from repro.sim.patterns import hotspot, rotate90, tornado, uniform
 from repro.sim.traffic import ScriptedTraffic, TrafficConfig, TrafficGenerator
-from repro.sim.vector import VectorSimulator
+from repro.sim.vector import run_batch
 from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule
 from repro.topology.wires import Wire
@@ -558,16 +562,25 @@ class DifferentialOracle:
             ("hotspot", hotspot([nodes[0]], profile.hotspot_fraction))
         )
 
-        for seed in profile.seeds:
-            for name, pattern in patterns:
-                run = self._adversarial_run(
-                    topology, routing, rule, name, pattern, seed
-                )
-                runs.append(run)
-                if run.get("deadlocked"):
-                    if forensics is None and run.pop("_forensics", None):
-                        forensics = run.pop("_forensics_obj", None)
-                    return runs, forensics
+        replays = []
+        for seed, (name, pattern) in itertools.product(profile.seeds, patterns):
+            run, replay = self._adversarial_run(
+                topology, routing, rule, name, pattern, seed
+            )
+            runs.append(run)
+            replays.append(replay)
+            if run.get("deadlocked"):
+                if forensics is None and run.pop("_forensics", None):
+                    forensics = run.pop("_forensics_obj", None)
+                break
+        self._mirror_on_vector(
+            topology,
+            routing,
+            rule,
+            replays,
+            buffer_depth=profile.buffer_depth,
+            watchdog=profile.watchdog,
+        )
         return runs, forensics
 
     def _adversarial_run(
@@ -578,7 +591,8 @@ class DifferentialOracle:
         pattern_name: str,
         pattern,
         seed: int,
-    ) -> dict:
+    ) -> tuple[dict, tuple]:
+        """One reference run, and its replay for :meth:`_mirror_on_vector`."""
         profile = self.profile
         collector = MetricsCollector(sample_every=max(1, profile.cycles))
         sim = NetworkSimulator(
@@ -590,19 +604,18 @@ class DifferentialOracle:
             seed=seed,
             metrics=collector,
         )
-        traffic = TrafficGenerator(
-            topology,
-            TrafficConfig(
-                injection_rate=profile.injection_rate,
-                packet_length=profile.packet_length,
-                pattern=pattern,
-                seed=seed,
-            ),
+        config = TrafficConfig(
+            injection_rate=profile.injection_rate,
+            packet_length=profile.packet_length,
+            pattern=pattern,
+            seed=seed,
         )
         record: dict = {"kind": "adversarial", "pattern": pattern_name, "seed": seed}
         ref_stats = ref_error = None
         try:
-            stats = ref_stats = sim.run(profile.cycles, traffic)
+            stats = ref_stats = sim.run(
+                profile.cycles, TrafficGenerator(topology, config)
+            )
         except (RoutingError, SimulationError) as exc:
             ref_error = exc
             record.update(unroutable=True, error=str(exc))
@@ -615,29 +628,15 @@ class DifferentialOracle:
             if stats.deadlocked and collector.forensics is not None:
                 record["_forensics"] = True
                 record["_forensics_obj"] = collector.forensics
-        if profile.compare_backends:
-            self._mirror_on_vector(
-                record,
-                topology,
-                routing,
-                rule,
-                cycles=profile.cycles,
-                buffer_depth=profile.buffer_depth,
-                watchdog=profile.watchdog,
-                seed=seed,
-                make_traffic=lambda: TrafficGenerator(
-                    topology,
-                    TrafficConfig(
-                        injection_rate=profile.injection_rate,
-                        packet_length=profile.packet_length,
-                        pattern=pattern,
-                        seed=seed,
-                    ),
-                ),
-                ref_stats=ref_stats,
-                ref_error=ref_error,
-            )
-        return record
+        replay = (
+            record,
+            profile.cycles,
+            TrafficGenerator(topology, config),
+            seed,
+            ref_stats,
+            ref_error,
+        )
+        return record, replay
 
     def _crafted_ring_run(
         self,
@@ -671,100 +670,68 @@ class DifferentialOracle:
             metrics=collector,
         )
         record: dict = {"kind": "crafted-ring", "ring": [str(w) for w in cycle]}
+        cycles = profile.crafted_watchdog * 5
         ref_stats = ref_error = None
         try:
-            stats = ref_stats = sim.run(
-                profile.crafted_watchdog * 5, ScriptedTraffic({0: script})
-            )
+            stats = ref_stats = sim.run(cycles, ScriptedTraffic({0: script}))
         except (RoutingError, SimulationError) as exc:
             ref_error = exc
             record.update(unroutable=True, error=str(exc))
         else:
             record.update(deadlocked=stats.deadlocked, cycles=stats.cycles)
-        if profile.compare_backends:
-            self._mirror_on_vector(
-                record,
-                topology,
-                routing,
-                rule,
-                cycles=profile.crafted_watchdog * 5,
-                buffer_depth=depth,
-                watchdog=profile.crafted_watchdog,
-                seed=0,
-                make_traffic=lambda: ScriptedTraffic({0: script}),
-                ref_stats=ref_stats,
-                ref_error=ref_error,
-            )
+        # Its own routing and watchdog: a batch of one.
+        self._mirror_on_vector(
+            topology,
+            routing,
+            rule,
+            [(record, cycles, ScriptedTraffic({0: script}), 0, ref_stats, ref_error)],
+            buffer_depth=depth,
+            watchdog=profile.crafted_watchdog,
+        )
         if ref_error is not None:
             return record, None
         return record, collector.forensics
 
     def _mirror_on_vector(
         self,
-        record: dict,
         topology: Topology,
         routing: RoutingFunction,
         rule: ClassRule,
+        replays: list[tuple],
         *,
-        cycles: int,
         buffer_depth: int,
         watchdog: int,
-        seed: int,
-        make_traffic,
-        ref_stats,
-        ref_error,
     ) -> None:
-        """Replay a reference run on the vector backend and diff the stats.
+        """Replay reference runs on the vector backend and diff the stats.
 
-        Annotates ``record`` with ``backend_agree`` (and the divergence
-        strings when the engines split).  A config outside the vector
-        engine's scope leaves the record unannotated — nothing to compare.
+        ``replays`` holds one ``(record, cycles, traffic, seed, ref_stats,
+        ref_error)`` per reference run on this network, with a fresh copy
+        of its traffic; they replay together, as one :func:`run_batch`.
+        Annotates each ``record`` with ``backend_agree`` (and the
+        divergence strings when the engines split).  A config outside the
+        vector engine's scope leaves the records unannotated — nothing to
+        compare.
         """
+        if not self.profile.compare_backends:
+            return
         try:
-            sim = VectorSimulator(
+            outcomes = run_batch(
                 topology,
                 routing,
                 rule,
+                [(cycles, traffic) for _, cycles, traffic, *_ in replays],
                 buffer_depth=buffer_depth,
                 watchdog=watchdog,
-                seed=seed,
             )
         except ConfigError:
             return
-        divergences: list[str] = []
-        try:
-            stats = sim.run(cycles, make_traffic())
-        except (RoutingError, SimulationError) as exc:
-            if ref_error is None:
-                divergences.append(
-                    f"vector raised {type(exc).__name__} ({exc}) where the"
-                    " reference completed"
-                )
-            elif type(exc) is not type(ref_error):
-                divergences.append(
-                    f"vector raised {type(exc).__name__} where the reference"
-                    f" raised {type(ref_error).__name__}"
-                )
-        else:
-            if ref_error is not None:
-                divergences.append(
-                    "vector completed where the reference raised"
-                    f" {type(ref_error).__name__} ({ref_error})"
-                )
-            else:
-                ref_dict, vec_dict = ref_stats.to_dict(), stats.to_dict()
-                if ref_dict != vec_dict:
-                    keys = sorted(
-                        k for k in ref_dict if ref_dict[k] != vec_dict.get(k)
-                    )
-                    divergences.append(
-                        f"stats differ on {', '.join(keys)}"
-                        f" (kind={record.get('kind')},"
-                        f" pattern={record.get('pattern')}, seed={seed})"
-                    )
-        record["backend_agree"] = not divergences
-        if divergences:
-            record["backend_divergences"] = tuple(divergences)
+        for (record, _, _, seed, ref_stats, ref_error), outcome in zip(
+            replays, outcomes
+        ):
+            divergences = _divergences(record, seed, ref_stats, ref_error, outcome)
+            record["backend_agree"] = not divergences
+            if divergences:
+                record["backend_divergences"] = tuple(divergences)
 
     def _pick_cycle(self, graph: DependencyGraph) -> tuple[Wire, ...] | None:
         """A small node-simple CDG cycle (distinct routers), if any exists.
@@ -805,3 +772,34 @@ def _canonical_rotation(cycle: tuple[Wire, ...]) -> tuple[Wire, ...]:
     """
     start = min(range(len(cycle)), key=lambda i: str(cycle[i]))
     return cycle[start:] + cycle[:start]
+
+
+def _divergences(record: dict, seed: int, ref_stats, ref_error, outcome) -> list[str]:
+    """How a vector replay (stats, or the error it raised) split from the
+    reference run (``ref_stats``, or ``ref_error``); empty when they agree."""
+    if isinstance(outcome, Exception):
+        if ref_error is None:
+            return [
+                f"vector raised {type(outcome).__name__} ({outcome}) where the"
+                " reference completed"
+            ]
+        if type(outcome) is not type(ref_error):
+            return [
+                f"vector raised {type(outcome).__name__} where the reference"
+                f" raised {type(ref_error).__name__}"
+            ]
+        return []
+    if ref_error is not None:
+        return [
+            "vector completed where the reference raised"
+            f" {type(ref_error).__name__} ({ref_error})"
+        ]
+    ref_dict, vec_dict = ref_stats.to_dict(), outcome.to_dict()
+    if ref_dict == vec_dict:
+        return []
+    keys = sorted(k for k in ref_dict if ref_dict[k] != vec_dict.get(k))
+    return [
+        f"stats differ on {', '.join(keys)}"
+        f" (kind={record.get('kind')},"
+        f" pattern={record.get('pattern')}, seed={seed})"
+    ]

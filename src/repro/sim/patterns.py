@@ -8,6 +8,7 @@ operate on coordinates normalised to the topology shape.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
@@ -24,6 +25,17 @@ def uniform(src: Coord, nodes: Sequence[Coord], rng: random.Random) -> Coord:
 
 
 def _shape_of(nodes: Sequence[Coord]) -> tuple[int, ...]:
+    """The grid shape the nodes span.
+
+    Every packet of a shape-aware pattern asks for it, so the shape is
+    computed once per node tuple (``Topology.nodes`` is one tuple per
+    network) instead of per packet.
+    """
+    return _grid_shape(nodes if type(nodes) is tuple else tuple(nodes))
+
+
+@lru_cache(maxsize=64)
+def _grid_shape(nodes: tuple[Coord, ...]) -> tuple[int, ...]:
     dims = len(nodes[0])
     return tuple(max(n[d] for n in nodes) + 1 for d in range(dims))
 

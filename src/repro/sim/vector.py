@@ -10,17 +10,36 @@ produces bit-identical :class:`~repro.sim.stats.SimStats` (including
 order).  The differential fuzz oracle (:mod:`repro.fuzz.oracle`) holds it
 to that contract on every trial.
 
+The kernel steps **B replicas** of one network — same topology, routing
+instance, rule, buffer depth, pipeline delay and watchdog, each with its
+own traffic — as one struct-of-arrays.  On small networks a cycle's cost
+is mostly the fixed overhead of each numpy call, which B runs then pay
+once.  :func:`run_batch` is the batch entry point;
+:class:`VectorSimulator` is the B=1 case of the same kernel.
+
 Layout
 ------
-The kernel indexes *sites* ``0..W+N-1``: wires ``0..W-1`` in sorted
-(= reference iteration) order, then one injection row per node in
-topology order.  A site's "front" is the flit currently able to act —
-the head of the wire FIFO, or the next flit of the packet streaming out
-of a source queue — mirrored in flat arrays so every phase mask is a
-handful of vector ops over all sites at once:
+One replica of W₀ wires and N₀ nodes indexes its *sites* ``0..W₀+N₀-1``:
+wires in sorted (= reference iteration) order, then one injection row
+per node in topology order.  B replicas order their sites as [the wires
+of replicas 0..B-1 | the injection rows of replicas 0..B-1], so with
+W = B·W₀ every ``[:W]`` / ``[W:]`` slice below keeps its meaning, and
+ascending site order is still each replica's reference order.  Replicas
+share no wire, link or site, so how their sites interleave cannot change
+a decision.  Link ids are offset per replica (each replica's round robin
+sees only its own requests), and all replicas start at cycle 0 and share
+one cycle counter, so ``cycle % count`` is unchanged.  Packet
+destinations, the per-site destination router and the routing memo stay
+in one replica's *local* numbering; only output wires carry the
+replica's wire offset.
 
-* ``_buf_pid/_buf_seq/_buf_arr[W, B]`` + ``_head/_blen[W]`` — per-wire
-  ring-buffer FIFOs (pid, flit sequence number, arrival cycle);
+A site's "front" is the flit currently able to act — the head of the
+wire FIFO, or the next flit of the packet streaming out of a source
+queue — mirrored in flat arrays so every phase mask is a handful of
+vector ops over all sites at once:
+
+* ``_buf_pid/_buf_seq/_buf_arr[W, depth]`` + ``_head/_blen[W]`` —
+  per-wire ring-buffer FIFOs (pid, flit sequence number, arrival cycle);
 * ``_fpid/_fseq/_farr/_fdst[W+N]`` — the front mirror (valid where the
   wire is non-empty / the node is streaming), updated incrementally on
   every pop and push; injection rows always pass the pipeline-ready test
@@ -40,9 +59,9 @@ provable :meth:`~repro.routing.base.RoutingFunction.route_signature` —
 the expensive ``candidates()`` call itself is shared across all
 destinations with the same direction class.  Without the signature level
 uniform random traffic never stops discovering new (site, destination)
-pairs.  The memo is shared by every simulator on the same routing
-instance, rule and topology (:func:`repro.sim.image.memo_for`), and the
-points of a sweep share one routing instance
+pairs.  The memo is shared by every replica and every simulator on the
+same routing instance, rule and topology (:func:`repro.sim.image.memo_for`),
+and the points of a sweep share one routing instance
 (:func:`repro.sim.image.spec_network`), so only a sweep's first point
 pays the first-touch routing queries.
 
@@ -78,6 +97,18 @@ traced traffic.  Telemetry (metrics/tracer), fault injection, recovery
 and multicast waypoints are not implemented — requesting them raises
 :class:`~repro.errors.ConfigError` up front (see
 :func:`repro.sim.backend.backends` for the capability table).
+
+Each replica of a batch keeps its own traffic, cycle limit,
+:class:`~repro.sim.stats.SimStats`, stall counter and watchdog.  It stops
+at its cycle limit, when its watchdog fires, or when it raises
+:class:`~repro.errors.RoutingError` / :class:`~repro.errors.SimulationError`
+(a routing dead-end stops only the replica that hit it).  A stopped
+replica is *parked*: its buffers and queues are emptied, so it takes no
+further part in any phase, its stats never change again and it never
+raises.  A lone :class:`VectorSimulator` is never parked at its cycle
+limit or watchdog, so it can drain or keep stepping, as the reference
+can; its errors propagate from :meth:`~VectorSimulator.step` and
+:meth:`~VectorSimulator.run`.
 """
 
 from __future__ import annotations
@@ -97,10 +128,14 @@ from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 from repro.topology.wires import Wire, wires_for
 
-__all__ = ["VectorSimulator"]
+__all__ = ["VectorSimulator", "run_batch"]
 
 #: Sentinel arrival cycle for injection rows: always pipeline-ready.
 _ALWAYS_READY = -(1 << 40)
+
+#: No sites moved (the phases return the sites they moved).
+_NO_SITES = np.empty(0, dtype=np.int64)
+
 
 def _unsupported(feature: str) -> ConfigError:
     return ConfigError(
@@ -118,6 +153,9 @@ class VectorSimulator:
     surface: :meth:`offer_packet`, :meth:`step`, :meth:`run`,
     :meth:`is_idle`, ``.cycle`` and ``.stats``.
     """
+
+    #: Runs stepped together; :func:`run_batch` builds kernels of more.
+    _replicas = 1
 
     def __init__(
         self,
@@ -173,33 +211,47 @@ class VectorSimulator:
         wires = sorted(wires_for(topology, routing.channel_classes, rule))
         if not wires:
             raise SimulationError("routing channel classes instantiate no wires")
+        #: One replica's wires, in site order.
         self.wires: tuple[Wire, ...] = tuple(wires)
-        W = len(wires)
-        self._W = W
         self._wire_lookup: dict[tuple[Coord, Coord, object], int] = {
             (w.src, w.dst, w.channel): i for i, w in enumerate(wires)
         }
         self._nodes: tuple[Coord, ...] = tuple(topology.nodes)
         self._nindex: dict[Coord, int] = {n: i for i, n in enumerate(self._nodes)}
-        N = len(self._nodes)
+        R = self._replicas
+        W0 = len(wires)
+        N0 = len(self._nodes)
+        W = R * W0
+        N = R * N0
         X = W + N
+        self._W0 = W0
+        self._N0 = N0
+        self._W = W
 
-        #: Destination router of each site (-1 for injection rows, which
-        #: never eject and always count as "not yet home").
+        #: Replica of each site, and the wire offset of that replica
+        #: (added to the memo's local output wires).
+        self._site_rep = np.concatenate(
+            (np.repeat(np.arange(R), W0), np.repeat(np.arange(R), N0))
+        )
+        self._wbase: list[int] = (self._site_rep * W0).tolist()
+
+        #: Destination router of each site, local to its replica (-1 for
+        #: injection rows, which never eject and always count as "not
+        #: yet home").
         self._wdst = np.full(X, -1, dtype=np.int64)
-        self._wdst[:W] = np.fromiter(
-            (self._nindex[w.dst] for w in wires), dtype=np.int64, count=W
+        self._wdst[:W] = np.tile(
+            np.fromiter((self._nindex[w.dst] for w in wires), dtype=np.int64, count=W0),
+            R,
         )
         links = sorted({w.link for w in wires})
         lindex = {link: i for i, link in enumerate(links)}
-        self._wlink = np.fromiter(
-            (lindex[w.link] for w in wires), dtype=np.int64, count=W
-        )
+        wlink = np.fromiter((lindex[w.link] for w in wires), dtype=np.int64, count=W0)
+        self._wlink = (wlink + len(links) * np.arange(R)[:, None]).ravel()
 
-        B = buffer_depth
-        self._buf_pid = np.full((W, B), -1, dtype=np.int64)
-        self._buf_seq = np.zeros((W, B), dtype=np.int64)
-        self._buf_arr = np.zeros((W, B), dtype=np.int64)
+        depth = buffer_depth
+        self._buf_pid = np.full((W, depth), -1, dtype=np.int64)
+        self._buf_seq = np.zeros((W, depth), dtype=np.int64)
+        self._buf_arr = np.zeros((W, depth), dtype=np.int64)
         self._head = np.zeros(W, dtype=np.int64)
         self._blen = np.zeros(W, dtype=np.int64)
 
@@ -226,7 +278,8 @@ class VectorSimulator:
         self._blocked = np.zeros(X, dtype=bool)
         self._consumers: list[set[int]] = [set() for _ in range(W)]
 
-        #: node index -> deque of packet indices; only non-empty queues.
+        #: source row (replica offset + node index) -> deque of packet
+        #: indices; only non-empty queues.
         self._queues: dict[int, deque[int]] = {}
 
         #: Packet table (struct of arrays, grown by doubling), plus a
@@ -243,17 +296,23 @@ class VectorSimulator:
         #: index (fast hits), and by ``route_signature`` where published
         #: (so ``candidates()`` runs once per direction class, not once
         #: per destination).  Values: tuple of candidate output wire
-        #: indices in candidate order, or None for a raw dead-end.
-        #: Routings declaring ``uses_in_channel = False`` share one group
-        #: across every input port of a router; otherwise each site gets
-        #: its own.  Memos are further shared across simulator instances
-        #: on the same (routing, rule, topology) via ``memo_for``.
+        #: indices (local to a replica) in candidate order, or None for a
+        #: raw dead-end.  Routings declaring ``uses_in_channel = False``
+        #: share one group across every input port of a router; otherwise
+        #: each site of a replica gets its own.  Replicas share the
+        #: groups, and memos are further shared across simulator
+        #: instances on the same (routing, rule, topology) via
+        #: ``memo_for``.
         if routing.uses_in_channel:
-            self._memo_of: list[int] = list(range(X))
-            groups = X
+            groups = W0 + N0
+            self._memo_of: list[int] = (
+                list(range(W0)) * R + list(range(W0, groups)) * R
+            )
         else:
-            self._memo_of = [self._nindex[w.dst] for w in wires] + list(range(N))
-            groups = N
+            groups = N0
+            self._memo_of = [self._nindex[w.dst] for w in wires] * R + (
+                list(range(N0)) * R
+            )
         self._cand_by_in, self._sig_by_in = memo_for(topology, routing, rule, groups)
         #: Per-site view of the destination-level memo (one indirection
         #: fewer in the allocation hot loop; the dicts are shared, so a
@@ -263,7 +322,7 @@ class VectorSimulator:
         ]
         self._fast_target = type(routing).target_of is RoutingFunction.target_of
 
-        #: Source nodes with a non-empty queue AND an idle injection row —
+        #: Source rows with a non-empty queue AND an idle injection row —
         #: exactly the sites the allocation phase must consider for a new
         #: packet (scanning every queue against numpy scalar reads each
         #: cycle is slower than maintaining the set at the three places
@@ -271,8 +330,17 @@ class VectorSimulator:
         self._ready_inj: set[int] = set()
 
         self.cycle = 0
-        self.stats = SimStats()
-        self._stall_cycles = 0
+        #: Per replica: stats, stall counter, the error that stopped it.
+        self._stats = [SimStats() for _ in range(R)]
+        self._stall = [0] * R
+        self._errors: list[Exception | None] = [None] * R
+        #: Replicas still stepping, ascending.
+        self._running = list(range(R))
+        self.stats = self._stats[0]
+        #: Per replica: views of its wire FIFO lengths and injection-row
+        #: fronts (the arrays never reallocate), for the watchdog's test.
+        self._blen_of = [self._blen[r * W0:(r + 1) * W0] for r in range(R)]
+        self._inj_fpid_of = [self._fpid[W + r * N0:W + (r + 1) * N0] for r in range(R)]
 
     # -- state queries ----------------------------------------------------------
 
@@ -286,37 +354,46 @@ class VectorSimulator:
 
     def is_idle(self) -> bool:
         """No flits buffered, nothing queued and nothing streaming."""
-        return not self._network_active()
+        return not self._network_active(0)
 
-    def _network_active(self) -> bool:
+    def _network_active(self, r: int) -> bool:
+        queues = self._queues
+        lo = r * self._N0
         return (
-            bool(self._queues)
-            or bool((self._fpid[self._W:] >= 0).any())
-            or bool(self._blen.any())
+            (
+                bool(queues)
+                and (self._replicas == 1 or any(lo <= n < lo + self._N0 for n in queues))
+            )
+            or bool((self._inj_fpid_of[r] >= 0).any())
+            or bool(self._blen_of[r].any())
         )
 
     # -- traffic entry ------------------------------------------------------------
 
     def offer_packet(self, packet: Packet) -> None:
         """Queue a packet at its source node (reference semantics)."""
+        self._offer(0, packet)
+
+    def _offer(self, r: int, packet: Packet) -> None:
+        stats = self._stats[r]
         dead = getattr(self.topology, "failed_nodes", ())
         if packet.src in dead or packet.dst in dead:
-            self.stats.packets_injected += 1
-            self.stats.packets_lost += 1
+            stats.packets_injected += 1
+            stats.packets_lost += 1
             return
         if packet.waypoints:
             raise _unsupported("multicast waypoints")
         self.topology.validate_node(packet.src)
         self.topology.validate_node(packet.dst)
         ip = self._add_packet(packet)
-        src = self._nindex[packet.src]
+        src = r * self._N0 + self._nindex[packet.src]
         queue = self._queues.get(src)
         if queue is None:
             queue = self._queues[src] = deque()
             if self._fpid[self._W + src] < 0:
                 self._ready_inj.add(src)
         queue.append(ip)
-        self.stats.packets_injected += 1
+        stats.packets_injected += 1
 
     def _add_packet(self, packet: Packet) -> int:
         ip = self._n_packets
@@ -341,23 +418,57 @@ class VectorSimulator:
         """Advance one cycle; returns the number of flit movements."""
         for packet in new_packets:
             self.offer_packet(packet)
+        moves = self._advance()[0]
+        if self._errors[0] is not None:
+            raise self._errors[0]
+        return moves
 
-        moves = self._eject_phase()
+    def _advance(self) -> Sequence[int]:
+        """One kernel cycle over every replica; flit moves per replica."""
+        ejected = self._eject_phase()
         self._allocation_phase()
-        moves += self._traversal_phase()
+        moved = self._traversal_phase()
 
         self.cycle += 1
-        self.stats.cycles = self.cycle
-        self.stats.flit_moves += moves
-
-        if moves == 0 and self._network_active():
-            self._stall_cycles += 1
-            if self._stall_cycles >= self.watchdog and not self.stats.deadlocked:
-                self.stats.deadlocked = True
-                self.stats.deadlock_declared_at = self.cycle
+        if self._replicas == 1:
+            moves: Sequence[int] = (ejected.size + moved.size,)
         else:
-            self._stall_cycles = 0
+            rep = self._site_rep
+            R = self._replicas
+            moves = (
+                np.bincount(rep[ejected], minlength=R)
+                + np.bincount(rep[moved], minlength=R)
+            ).tolist()
+        cycle = self.cycle
+        stall = self._stall
+        for r in self._running:
+            stats = self._stats[r]
+            stats.cycles = cycle
+            stats.flit_moves += moves[r]
+            if moves[r] == 0 and self._network_active(r):
+                stall[r] += 1
+                if stall[r] >= self.watchdog and not stats.deadlocked:
+                    stats.deadlocked = True
+                    stats.deadlock_declared_at = cycle
+            else:
+                stall[r] = 0
         return moves
+
+    def _fail(self, r: int, exc: Exception) -> None:
+        """Stop replica ``r`` on the error a solo run would have raised."""
+        self._errors[r] = exc
+        self._park(r)
+
+    def _park(self, r: int) -> None:
+        """Take replica ``r`` out of every phase; its stats stay as they are."""
+        self._running.remove(r)
+        N0 = self._N0
+        self._blen_of[r][:] = 0
+        self._inj_fpid_of[r][:] = -1
+        self._route_pid[self._W + r * N0:self._W + (r + 1) * N0] = -1
+        for n in range(r * N0, (r + 1) * N0):
+            self._queues.pop(n, None)
+            self._ready_inj.discard(n)
 
     def _refresh_fronts(self, idxs: np.ndarray) -> None:
         """Re-mirror the front flit of the given wires from the ring state."""
@@ -377,10 +488,11 @@ class VectorSimulator:
             heads = (seqs == 0) & (self._blen[idxs] > 0) & (dsts != self._wdst[idxs])
             if heads.any():
                 cand_of_site = self._cand_of_site
+                wbase = self._wbase
                 for w, dst in zip(idxs[heads].tolist(), dsts[heads].tolist()):
                     outs = cand_of_site[w].get(dst)
                     if outs is not None and len(outs) == 1:
-                        pref[w] = outs[0]
+                        pref[w] = outs[0] + wbase[w]
 
     def _release(self, sites) -> None:
         """Release wormhole ownership of output wires; wake their sleepers."""
@@ -397,7 +509,7 @@ class VectorSimulator:
 
     # -- phase 1: ejection ---------------------------------------------------------
 
-    def _eject_phase(self) -> int:
+    def _eject_phase(self) -> np.ndarray:
         W = self._W
         fdst = self._fdst[:W]
         eject = (self._blen > 0) & (fdst == self._wdst[:W])
@@ -407,28 +519,29 @@ class VectorSimulator:
             eject &= self._farr[:W] <= self.cycle - 1 - self.pipeline_delay
         idxs = np.nonzero(eject)[0]
         if idxs.size == 0:
-            return 0
+            return idxs
         pids = self._fpid[idxs]
         tails = self._fseq[idxs] == self._p_len[pids] - 1
         self._head[idxs] = (self._head[idxs] + 1) % self.buffer_depth
         self._blen[idxs] -= 1
         self._refresh_fronts(idxs)
         if tails.any():
-            stats = self.stats
+            stats = self._stats
+            W0 = self._W0
             cyc = self.cycle
             released = idxs[tails].tolist()
-            # np.nonzero order is ascending wire order — the reference's
-            # latency-append order.
-            for ip in pids[tails].tolist():
+            # np.nonzero order is ascending wire order — each replica's
+            # reference latency-append order.
+            for w, ip in zip(released, pids[tails].tolist()):
                 packet = self._ipackets[ip]
                 packet.delivered = cyc
                 assert packet.entered is not None
-                stats.record_delivery(
+                stats[w // W0].record_delivery(
                     cyc - packet.created, cyc - packet.entered, packet.length
                 )
             if self.atomic_buffers:
                 self._release(released)
-        return int(idxs.size)
+        return idxs
 
     # -- phase 2: routing and VC allocation ------------------------------------------
 
@@ -464,6 +577,7 @@ class VectorSimulator:
             fseq = self._fseq
             fdst = self._fdst
             cand_of_site = self._cand_of_site
+            wbase = self._wbase
             fast = self._fast_target
             popped: list[int] = []
             for n in sorted(ready):
@@ -481,7 +595,9 @@ class VectorSimulator:
                 if fast:
                     single = cand_of_site[site].get(dst)
                     pref[site] = (
-                        single[0] if single is not None and len(single) == 1 else -2
+                        single[0] + wbase[site]
+                        if single is not None and len(single) == 1
+                        else -2
                     )
                 else:
                     pref[site] = -2
@@ -512,12 +628,28 @@ class VectorSimulator:
             # preserved.  Under deterministic routing every candidate
             # set is a singleton, and one cold uniform-traffic
             # destination must not force the whole phase onto the
-            # serial loop.
+            # serial loop.  A dead-end stops its replica on the first
+            # one in that replica's reference order, as a solo run
+            # raises it; the other replicas allocate on.
             single = True
+            failed: dict[int, RoutingError] = {}
             sites = pending[cold]
             for site, ip in zip(sites.tolist(), fpid[sites].tolist()):
-                if len(self._outs_of(site, ip)) != 1:
+                try:
+                    outs = self._outs_of(site, ip)
+                except RoutingError as exc:
+                    failed.setdefault(int(self._site_rep[site]), exc)
+                    continue
+                if len(outs) != 1:
                     single = False
+            if failed:
+                for r, exc in failed.items():
+                    self._fail(r, exc)
+                pending = pending[
+                    np.isin(self._site_rep[pending], list(failed), invert=True)
+                ]
+                if pending.size == 0:
+                    return
             if not single:
                 self._resolve_serial(pending)
                 return
@@ -557,11 +689,17 @@ class VectorSimulator:
                 consumers[o].add(s)
 
     def _resolve_serial(self, pending: np.ndarray) -> None:
-        """Reference-order attempt loop (some head has several outputs)."""
+        """Reference-order attempt loop (some head has several outputs).
+
+        Every pending site's memo is warm and no dead-end (the allocation
+        phase warmed them and stopped the replicas that hit one), so no
+        attempt here raises.
+        """
         owner = self._owner
         pl_dst = self._pl_dst
         fast = self._fast_target
         cand_of_site = self._cand_of_site
+        wbase = self._wbase
         pref = self._pref_out
         route_pid = self._route_pid
         route_out = self._route_out
@@ -570,33 +708,34 @@ class VectorSimulator:
             if outs is False or outs is None:
                 out = self._alloc(site, ip)
             else:
+                base = wbase[site]
                 if len(outs) == 1:
-                    pref[site] = outs[0]
+                    pref[site] = outs[0] + base
                 out = -1
                 for o in outs:
-                    if owner[o] < 0:
-                        owner[o] = ip
-                        out = o
+                    if owner[o + base] < 0:
+                        out = o + base
+                        owner[out] = ip
                         break
                 if out < 0:
-                    self._sleep(site, outs)
+                    self._sleep(site, outs, base)
             if out >= 0:
                 route_pid[site] = ip
                 route_out[site] = out
 
-    def _sleep(self, site: int, outs) -> None:
+    def _sleep(self, site: int, outs, base: int) -> None:
         """Park a blocked site until one of its candidate outputs frees."""
         self._blocked[site] = True
         consumers = self._consumers
         for o in outs:
-            consumers[o].add(site)
+            consumers[o + base].add(site)
 
     def _in_site(self, in_key: int) -> tuple[Coord, object]:
-        """(router, in_channel) of an input site (wire index, or W+node)."""
+        """(router, in_channel) of an input site (wire, or injection row)."""
         if in_key < self._W:
-            wire = self.wires[in_key]
+            wire = self.wires[in_key % self._W0]
             return wire.dst, wire.channel
-        return self._nodes[in_key - self._W], None
+        return self._nodes[(in_key - self._W) % self._N0], None
 
     def _build_outs(self, router, target, in_channel):
         """Instantiated output wire indices, or None on a raw dead-end."""
@@ -617,7 +756,8 @@ class VectorSimulator:
         routing query, records a singleton in ``_pref_out``, and raises
         :class:`RoutingError` on a routing dead-end, exactly like the
         reference (the vector backend has no fault/recovery path to
-        absorb it).  No allocation side effects.
+        absorb it).  No allocation side effects.  The outputs are local
+        to the site's replica.
         """
         if self._fast_target:
             tkey = self._pl_dst[ip]
@@ -647,25 +787,26 @@ class VectorSimulator:
                 f" {self._ipackets[ip]} arriving on {in_channel}"
             )
         if len(outs) == 1:
-            self._pref_out[in_key] = outs[0]
+            self._pref_out[in_key] = outs[0] + self._wbase[in_key]
         return outs
 
     def _alloc(self, in_key: int, ip: int) -> int:
         """One reference ``_try_allocate``: the chosen wire index, or -1."""
         outs = self._outs_of(in_key, ip)
+        base = self._wbase[in_key]
         owner = self._owner
         # selection == first_candidate: the first free wire in candidate
         # order is exactly what the reference picks.
         for out in outs:
-            if owner[out] < 0:
-                owner[out] = ip
-                return out
-        self._sleep(in_key, outs)
+            if owner[out + base] < 0:
+                owner[out + base] = ip
+                return out + base
+        self._sleep(in_key, outs, base)
         return -1  # blocked; a candidate release wakes the site
 
     # -- phase 3: switch allocation and traversal --------------------------------------
 
-    def _traversal_phase(self) -> int:
+    def _traversal_phase(self) -> np.ndarray:
         # Requests over all sites at once; np.nonzero yields wires
         # ascending then source nodes in topology order — exactly the
         # reference's gather order.
@@ -680,7 +821,7 @@ class VectorSimulator:
             req &= self._farr <= self.cycle - 1 - self.pipeline_delay
         srcs = np.nonzero(req)[0]
         if srcs.size == 0:
-            return 0
+            return srcs
         outs = self._route_out[srcs]
 
         # Credit gate against the phase-start space snapshot.  Winners
@@ -689,7 +830,7 @@ class VectorSimulator:
         # reference's sequential space bookkeeping.
         open_slots = self._blen[outs] < self.buffer_depth
         if not open_slots.any():
-            return 0
+            return _NO_SITES
         srcs = srcs[open_slots]
         outs = outs[open_slots]
 
@@ -710,8 +851,9 @@ class VectorSimulator:
         # same-wire pop+push commutes); ascending sources let the wire /
         # injection split below be prefix slices instead of mask copies.
         winners.sort()
-        self._execute_moves(srcs[winners], outs[winners])
-        return int(winners.size)
+        moved = srcs[winners]
+        self._execute_moves(moved, outs[winners])
+        return moved
 
     def _execute_moves(self, srcs, outs) -> None:
         """Apply all winning moves as array scatters.
@@ -722,7 +864,7 @@ class VectorSimulator:
         link-by-link sequential execution exactly.
         """
         cyc = self.cycle
-        B = self.buffer_depth
+        depth = self.buffer_depth
         W = self._W
         fpid = self._fpid
         fseq = self._fseq
@@ -738,7 +880,7 @@ class VectorSimulator:
         wsrc = srcs[:k]
         if k:
             pos = self._head[wsrc]
-            self._head[wsrc] = (pos + 1) % B
+            self._head[wsrc] = (pos + 1) % depth
             self._blen[wsrc] -= 1
             self._refresh_fronts(wsrc)
 
@@ -772,7 +914,7 @@ class VectorSimulator:
                 self._release(tsite[:kt].tolist())
 
         # Pushes into the output wires (unique: one winner per link).
-        slot = (self._head[outs] + self._blen[outs]) % B
+        slot = (self._head[outs] + self._blen[outs]) % depth
         self._buf_pid[outs, slot] = all_ip
         self._buf_seq[outs, slot] = all_seq
         self._buf_arr[outs, slot] = cyc
@@ -793,17 +935,56 @@ class VectorSimulator:
                 heads = (f_seq == 0) & (f_dst != self._wdst[fresh_out])
                 if heads.any():
                     cand_of_site = self._cand_of_site
+                    wbase = self._wbase
                     for w, dst in zip(
                         fresh_out[heads].tolist(), f_dst[heads].tolist()
                     ):
                         single = cand_of_site[w].get(dst)
                         if single is not None and len(single) == 1:
-                            pref[w] = single[0]
+                            pref[w] = single[0] + wbase[w]
         if not self.atomic_buffers and all_tail.any():
             # EbDa-relaxed: re-allocatable once the tail is buffered.
             self._release(outs[all_tail].tolist())
 
     # -- driving loop ----------------------------------------------------------------
+
+    def _drive(self, limits: Sequence[int], traffics: Sequence) -> None:
+        """Step the running replicas until each reaches its cycle limit,
+        its watchdog fires or it raises.
+
+        A replica that stops while others still step is parked; the last
+        one is left as it is, so a lone simulator can drain afterwards.
+        """
+        stats = self._stats
+        errors = self._errors
+        live = [r for r in self._running if self.cycle < limits[r]]
+        while live:
+            if len(live) < len(self._running):
+                for r in [r for r in self._running if r not in live]:
+                    self._park(r)
+            cycle = self.cycle
+            for r in live:
+                traffic = traffics[r]
+                if not traffic:
+                    continue
+                try:
+                    for packet in traffic.packets_for_cycle(cycle):
+                        self._offer(r, packet)
+                except (RoutingError, SimulationError) as exc:
+                    self._fail(r, exc)
+            if not self._running:  # every live replica failed on its traffic
+                break
+            self._advance()
+            for r in live:
+                if errors[r] is not None or stats[r].deadlocked or self.cycle >= limits[r]:
+                    live = [
+                        r
+                        for r in live
+                        if errors[r] is None
+                        and not stats[r].deadlocked
+                        and self.cycle < limits[r]
+                    ]
+                    break
 
     def run(
         self,
@@ -826,11 +1007,9 @@ class VectorSimulator:
                 "raise_on_deadlock=True (the wait-for witness needs the"
                 " reference object graph)"
             )
-        for _ in range(cycles):
-            new = traffic.packets_for_cycle(self.cycle) if traffic else ()
-            self.step(new)
-            if self.stats.deadlocked:
-                break
+        self._drive([self.cycle + cycles], [traffic])
+        if self._errors[0] is not None:
+            raise self._errors[0]
         if drain and not self.stats.deadlocked:
             extra = 0
             while not self.is_idle() and extra < drain_limit:
@@ -839,3 +1018,41 @@ class VectorSimulator:
                 if self.stats.deadlocked:
                     break
         return self.stats
+
+
+class _Batch(VectorSimulator):
+    """A kernel of ``replicas`` runs of one network (see :func:`run_batch`)."""
+
+    def __init__(self, replicas: int, *args, **kwargs) -> None:
+        self._replicas = replicas
+        super().__init__(*args, **kwargs)
+
+
+def run_batch(
+    topology: Topology,
+    routing: RoutingFunction,
+    rule: ClassRule,
+    runs: Sequence[tuple[int, object]],
+    **sim_kwargs,
+) -> list[SimStats | Exception]:
+    """Run several traffics on one network in one kernel step loop.
+
+    ``runs`` is a sequence of ``(cycles, traffic)``; ``sim_kwargs`` are
+    :class:`VectorSimulator`'s keyword options, shared by every run.
+    Returns, per run and in order, its :class:`~repro.sim.stats.SimStats`
+    — bit-identical to a solo ``VectorSimulator(...).run(cycles,
+    traffic)`` — or the :class:`~repro.errors.RoutingError` /
+    :class:`~repro.errors.SimulationError` that run raised.  A run stops
+    at its cycle limit or when its watchdog fires.  Configurations
+    outside the kernel's scope raise :class:`~repro.errors.ConfigError`
+    before any run starts.
+    """
+    runs = list(runs)
+    if not runs:
+        return []
+    kernel = _Batch(len(runs), topology, routing, rule, **sim_kwargs)
+    kernel._drive([cycles for cycles, _ in runs], [traffic for _, traffic in runs])
+    return [
+        stats if error is None else error
+        for stats, error in zip(kernel._stats, kernel._errors)
+    ]

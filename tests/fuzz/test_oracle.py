@@ -191,3 +191,78 @@ class TestStaticOracle:
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["static_safe"] is False
         assert payload["static_errors"]
+
+
+class TestBackendDivergenceOracle:
+    """The vector replay of a trial's runs, and the divergences it reports."""
+
+    @staticmethod
+    def _perturb_second(monkeypatch, change):
+        """Route the oracle's batch replays through ``change(outcomes)``."""
+        import repro.fuzz.oracle as oracle_module
+
+        real = oracle_module.run_batch
+        seen = []
+
+        def patched(*args, **kwargs):
+            outcomes = real(*args, **kwargs)
+            seen.append(len(outcomes))
+            if len(outcomes) > 1:
+                outcomes[1] = change(outcomes[1])
+            return outcomes
+
+        monkeypatch.setattr(oracle_module, "run_batch", patched)
+        return seen
+
+    def test_valid_mesh_runs_all_agree(self, oracle):
+        result = oracle.run(VALID_MESH)
+        adversarial = [r for r in result.sim_runs if r["kind"] == "adversarial"]
+        assert [r["pattern"] for r in adversarial] == ["rotate90", "hotspot"]
+        assert all(r["backend_agree"] is True for r in adversarial)
+        assert result.backend_agree is True
+        assert result.backend_divergences == ()
+
+    def test_adversarial_runs_replay_in_one_batch(self, oracle, monkeypatch):
+        seen = self._perturb_second(monkeypatch, lambda stats: stats)
+        result = oracle.run(VALID_MESH)
+        assert seen == [2]
+        assert result.classification == "safe-confirmed"
+
+    def test_perturbed_second_replica_is_a_divergence(self, oracle, monkeypatch):
+        def bump(stats):
+            stats.flit_moves += 1
+            return stats
+
+        self._perturb_second(monkeypatch, bump)
+        result = oracle.run(VALID_MESH)
+        assert result.classification == result.disagreement == "backend-divergence"
+        assert result.backend_agree is False
+        first, second = result.sim_runs
+        assert first["backend_agree"] is True
+        assert "backend_divergences" not in first
+        assert second["backend_agree"] is False
+        (message,) = result.backend_divergences
+        assert "flit_moves" in message and "pattern=hotspot" in message
+
+    def test_replica_raising_where_reference_completed(self, oracle, monkeypatch):
+        from repro.errors import RoutingError
+
+        self._perturb_second(
+            monkeypatch, lambda stats: RoutingError("synthetic dead-end")
+        )
+        result = oracle.run(VALID_MESH)
+        assert result.classification == "backend-divergence"
+        assert result.sim_runs[0]["backend_agree"] is True
+        (message,) = result.backend_divergences
+        assert message.startswith("vector raised RoutingError (synthetic dead-end)")
+        assert "where the reference completed" in message
+
+    def test_no_replay_without_compare_backends(self, monkeypatch):
+        from dataclasses import replace
+
+        seen = self._perturb_second(monkeypatch, lambda stats: stats)
+        quiet = DifferentialOracle(replace(fast_profile(), compare_backends=False))
+        result = quiet.run(VALID_MESH)
+        assert seen == []
+        assert result.backend_agree is None
+        assert all("backend_agree" not in r for r in result.sim_runs)

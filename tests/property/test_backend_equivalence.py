@@ -8,7 +8,9 @@ identical traffic through both engines and requires bit-identical
 using the same `CycleRouting` worm-parking construction the
 differential fuzz oracle uses.  Where the vector backend does not
 support a configuration (fault injection), the ``ConfigError`` is
-asserted explicitly rather than silently skipped.
+asserted explicitly rather than silently skipped.  Batches of one to
+four runs on one network (``run_batch``) must reproduce each run's
+reference stats too.
 """
 
 import pytest
@@ -26,6 +28,7 @@ from repro.sim import (
     TrafficGenerator,
     VectorSimulator,
 )
+from repro.sim.vector import run_batch
 from repro.topology import Dragonfly, FatTree, Mesh, Torus
 from repro.topology.classes import NAMED_RULES, no_classes
 
@@ -66,6 +69,43 @@ def test_random_algorithm1_mesh_designs_match(budget, rate, depth, seed, atomic)
     )
     assert ref == vec
     assert not ref["deadlocked"]
+
+
+@given(
+    budget=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=2),
+    depth=st.integers(min_value=1, max_value=4),
+    atomic=st.booleans(),
+    runs=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=250),
+            st.floats(min_value=0.02, max_value=0.3),
+            st.integers(min_value=0, max_value=9999),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=8, deadline=None)
+def test_batch_replicas_match_reference(budget, depth, atomic, runs):
+    """B runs of one network in one batch, each against its reference run."""
+    routing = TurnTableRouting(MESH, partition_vc_budget(budget))
+
+    def traffic(rate, seed):
+        return TrafficGenerator(
+            MESH, TrafficConfig(injection_rate=rate, packet_length=4, seed=seed)
+        )
+
+    options = dict(buffer_depth=depth, atomic_buffers=atomic, watchdog=60)
+    batch = run_batch(
+        MESH, routing, no_classes,
+        [(cycles, traffic(rate, seed)) for cycles, rate, seed in runs],
+        **options,
+    )
+    for (cycles, rate, seed), got in zip(runs, batch):
+        ref = NetworkSimulator(MESH, routing, no_classes, **options).run(
+            cycles, traffic(rate, seed)
+        )
+        assert got.to_dict() == ref.to_dict()
 
 
 @given(

@@ -1,5 +1,6 @@
 """Unit tests for traffic patterns."""
 
+import hashlib
 import random
 
 import pytest
@@ -88,3 +89,80 @@ class TestRandomPatterns:
     def test_hotspot_fraction_validated(self):
         with pytest.raises(SimulationError):
             hotspot(targets=[(0, 0)], fraction=1.5)
+
+
+#: sha256 prefix of each pattern's outputs on the catalog mesh shapes:
+#: three rounds over every source with one ``random.Random(5)``, so the
+#: random patterns' draws are pinned too ("SimulationError" where the
+#: pattern refuses the shape).
+PINNED_OUTPUTS = {
+    (8, 8): {
+        "bit-complement": "072ce63ae7bcf3ca", "bit-reverse": "01f35e2ad1ffea9b",
+        "hotspot": "e0ab53aebec2591a", "neighbor": "c97452678f4ca1db",
+        "rotate90": "b737d5e8518d9080", "shuffle": "a4605d9705b574c7",
+        "tornado": "1e010750174ccdc9", "transpose": "cb9175b45cc33b05",
+        "uniform": "b4c7e9576e7f4aed",
+    },
+    (6, 6): {
+        "bit-complement": "efd39cbbbc52818e", "bit-reverse": "a570aa029d9e4b0f",
+        "hotspot": "2ca126efe0456405", "neighbor": "861d42c384cce36e",
+        "rotate90": "0c146f1be70f5981", "shuffle": "a570aa029d9e4b0f",
+        "tornado": "74fd1fee6cedc4b5", "transpose": "ee37ce41dbc00d46",
+        "uniform": "ce09108e82b7ce7d",
+    },
+    (3, 3, 3): {
+        "bit-complement": "6434e62d4cad38b4", "bit-reverse": "72005d92376d0baa",
+        "hotspot": "4829cb94b047eaa7", "neighbor": "e1df8580881b619e",
+        "rotate90": "1fe6c59368f70cbd", "shuffle": "72005d92376d0baa",
+        "tornado": "951011f15d508237", "transpose": "a78e7ec1aa9ec13c",
+        "uniform": "06ffcb8dd6f87719",
+    },
+    (3, 3): {
+        "bit-complement": "4792ce7687ae67f2", "bit-reverse": "734a5b2ae289fb16",
+        "hotspot": "3914ee9d7aac06f7", "neighbor": "53b43e76928f6f3f",
+        "rotate90": "901b30a06d1e52d9", "shuffle": "734a5b2ae289fb16",
+        "tornado": "3f01a052137d0ac7", "transpose": "388946f6fb9d0fac",
+        "uniform": "7a75e10bcaa1d36a",
+    },
+}
+
+
+def _outputs_digest(pattern, nodes) -> str:
+    rng = random.Random(5)
+    out = []
+    for _ in range(3):
+        for node in nodes:
+            try:
+                out.append(pattern(node, nodes, rng))
+            except SimulationError:
+                out.append("SimulationError")
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """The shape lookup is cached; what the patterns return is not changed."""
+
+    @pytest.mark.parametrize("shape", sorted(PINNED_OUTPUTS), ids=str)
+    def test_outputs_on_catalog_shapes(self, shape):
+        nodes = Mesh(*shape).nodes
+        patterns = {**NAMED_PATTERNS, "hotspot": hotspot([(0, 0)], 0.5)}
+        got = {name: _outputs_digest(p, nodes) for name, p in patterns.items()}
+        assert got == PINNED_OUTPUTS[shape]
+
+    def test_a_list_of_nodes_gives_the_tuple_result(self):
+        nodes = Mesh(6, 6).nodes
+        for name, pattern in NAMED_PATTERNS.items():
+            assert _outputs_digest(pattern, list(nodes)) == (
+                _outputs_digest(pattern, nodes)
+            ), name
+
+    def test_deterministic_patterns_draw_nothing(self):
+        nodes = Mesh(8, 8).nodes
+        for name, pattern in NAMED_PATTERNS.items():
+            if name == "uniform":
+                continue
+            rng = random.Random(5)
+            before = rng.getstate()
+            for node in nodes:
+                pattern(node, nodes, rng)
+            assert rng.getstate() == before, name

@@ -6,6 +6,7 @@ per-packet latency list in delivery order, and the deadlock declaration
 cycle.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,12 @@ from repro.sim import (
     run_point,
 )
 from repro.sim.specs import resolve_routing_factory
+from repro.sim.vector import run_batch
 from repro.topology import Mesh, Torus
 from repro.topology.classes import NAMED_RULES, no_classes, rule_for_design
 
 COMMITTED_CORPUS = Path(__file__).parents[1] / "fuzz" / "corpus"
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: (design name, mesh shape, injection rate): deterministic through
 #: fully adaptive, 2D and 3D, plus a virtual-channel design.
@@ -151,6 +154,177 @@ class TestCatalogAndCorpusParity:
             drain=False, errors=(RoutingError, SimulationError),
         )
         assert ref == vec
+
+
+def _outcome(run):
+    """A run's stats dict, or the class and message of what it raised."""
+    try:
+        return run().to_dict()
+    except (RoutingError, SimulationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def batch_vs_solo(topology, routing, rule, runs, **sim_kwargs):
+    """Each run of one batch, its solo vector run and its reference run.
+
+    ``runs`` holds ``(cycles, make_traffic)``; returns one (batch, solo,
+    reference) triple per run, each a stats dict or the error raised.
+    """
+    batch = run_batch(
+        topology, routing, rule,
+        [(cycles, make()) for cycles, make in runs], **sim_kwargs,
+    )
+    triples = []
+    for (cycles, make), got in zip(runs, batch):
+        if isinstance(got, Exception):
+            got = f"{type(got).__name__}: {got}"
+        else:
+            got = got.to_dict()
+        solo, ref = (
+            _outcome(lambda: cls(topology, routing, rule, **sim_kwargs).run(cycles, make()))
+            for cls in (VectorSimulator, NetworkSimulator)
+        )
+        triples.append((got, solo, ref))
+    return triples
+
+
+def _bernoulli(topology, rate, seed):
+    return lambda: TrafficGenerator(
+        topology, TrafficConfig(injection_rate=rate, packet_length=4, seed=seed)
+    )
+
+
+def _witness_network(stem):
+    design = load_entry(COMMITTED_CORPUS / f"{stem}.json").design
+    seq, turnset = design.compile()
+    topology, rule = design.topology(), design.class_rule()
+    routing = TurnTableRouting(topology, seq, rule, turnset=turnset, validate=False)
+    return topology, routing, rule
+
+
+class TestBatchParity:
+    """Every replica of a batch equals its solo vector and reference runs."""
+
+    @pytest.mark.parametrize(
+        "name,shape,rate", CATALOG_POINTS, ids=[point[0] for point in CATALOG_POINTS]
+    )
+    def test_catalog_point_seeds(self, name, shape, rate):
+        topology = Mesh(*shape)
+        routing = resolve_routing_factory(name)(topology)
+        seeds = (3, 4, 5) if len(shape) == 3 else (3, 4)
+        triples = batch_vs_solo(
+            topology, routing, rule_for_design(name),
+            [(300, _bernoulli(topology, rate, seed)) for seed in seeds],
+            watchdog=500, buffer_depth=4,
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+            assert got["packets_delivered"] > 0
+        # The seeds draw different traffic: the replicas really differ.
+        assert len({repr(got) for got, _, _ in triples}) == len(seeds)
+
+    def test_replicas_with_different_cycle_limits(self, mesh4):
+        routing = TurnTableRouting(mesh4, catalog.p3_west_first())
+        limits = (120, 400, 0, 1, 250)
+        triples = batch_vs_solo(
+            mesh4, routing, no_classes,
+            [(cycles, _bernoulli(mesh4, 0.1, seed)) for seed, cycles in enumerate(limits)],
+            atomic_buffers=True,
+        )
+        for cycles, (got, solo, ref) in zip(limits, triples):
+            assert got == solo == ref
+            assert got["cycles"] == cycles
+
+    def test_deadlocked_replica_beside_live_ones(self):
+        topology, routing, rule = _witness_network("fuzz-720dd5f1c346")
+        runs = [(400, _bernoulli(topology, rate, seed))
+                for rate, seed in ((0.3, 1), (0.3, 0), (0.05, 0))]
+        triples = batch_vs_solo(
+            topology, routing, rule, runs, watchdog=150, buffer_depth=2
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+        assert [got["deadlocked"] for got, _, _ in triples] == [False, True, False]
+        assert triples[1][0]["deadlock_declared_at"] < 400
+        assert [got["cycles"] for got, _, _ in triples] == [
+            400, triples[1][0]["deadlock_declared_at"], 400
+        ]
+
+    def test_replicas_keep_their_own_deadlock_cycle(self, mesh4):
+        routing = UnrestrictedAdaptive(mesh4)
+        runs = [(800, _bernoulli(mesh4, 0.3, seed)) for seed in (3, 4)]
+        triples = batch_vs_solo(
+            mesh4, routing, no_classes, runs, watchdog=200, buffer_depth=2
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+            assert got["deadlocked"]
+        declared = {got["deadlock_declared_at"] for got, _, _ in triples}
+        assert len(declared) == 2
+
+    def test_dead_end_stops_only_its_replica(self):
+        topology, routing, rule = _witness_network("fuzz-4df2a24b2051")
+        runs = [(400, _bernoulli(topology, rate, seed))
+                for rate, seed in ((0.01, 0), (0.3, 0), (0.01, 0))]
+        triples = batch_vs_solo(
+            topology, routing, rule, runs, watchdog=150, buffer_depth=2
+        )
+        for got, solo, ref in triples:
+            assert got == solo
+        live, dead, twin = (got for got, _, _ in triples)
+        assert dead.startswith("RoutingError: ")
+        assert triples[1][2].startswith("RoutingError")  # the reference agrees
+        assert live == twin == triples[0][2]
+        assert live["cycles"] == 400
+
+    def test_empty_batch_and_out_of_scope_config(self, mesh4):
+        assert run_batch(mesh4, xy_routing(mesh4), no_classes, []) == []
+        with pytest.raises(ConfigError, match="selection"):
+            run_batch(
+                mesh4, xy_routing(mesh4), no_classes,
+                [(10, _bernoulli(mesh4, 0.1, 0)())], selection=object(),
+            )
+
+
+class TestOneKernel:
+    """Batches and solo runs step through the same phases."""
+
+    def test_each_phase_is_defined_once(self):
+        tree = ast.parse((SRC / "sim" / "vector.py").read_text())
+        defined = [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for phase in ("_eject_phase", "_allocation_phase", "_traversal_phase",
+                      "_execute_moves", "_advance"):
+            assert defined.count(phase) == 1, phase
+
+    def test_oracle_replays_only_through_run_batch(self):
+        tree = ast.parse((SRC / "fuzz" / "oracle.py").read_text())
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert [name for module, name in imported if module == "repro.sim.vector"] == [
+            "run_batch"
+        ]
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not names & {"VectorSimulator", "simulator_class", "run_point"}
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_batch"
+        ]
+        assert len(calls) == 1
+        constants = {
+            node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+        }
+        assert "vector" not in constants
 
 
 class TestRunPointBackend:
