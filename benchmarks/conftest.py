@@ -1,9 +1,9 @@
 """Benchmark-suite helpers.
 
-Every paper artifact has one benchmark that times its regeneration and
-prints the regenerated table/figure content (run pytest with ``-s`` to see
-it).  Simulation-heavy experiments run one round (they are macro
-experiments, not microbenchmarks).
+The paper's tables and figures are regenerated, and their checks
+asserted, by ``repro run all``; this suite holds the microbenchmarks
+and the engine/lint/tracing comparisons.  ``once`` times a macro
+workload exactly once.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ def once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
-
-
-def report(result) -> None:
-    """Print an experiment report and assert its paper checks."""
-    print()
-    print(result.report())
-    result.require()
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:

@@ -7,7 +7,7 @@ which returns an :class:`ExperimentResult`:
 * ``data`` — the same content as structured values for tests;
 * ``checks`` — named pass/fail comparisons against the paper's claims.
 
-Benchmarks time ``run()`` and print ``text``; EXPERIMENTS.md records the
+``repro run`` prints ``text`` and the checks; EXPERIMENTS.md records the
 check outcomes.
 """
 

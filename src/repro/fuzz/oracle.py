@@ -71,10 +71,10 @@ still acyclic — the theorems are sufficient, not necessary),
 ``cyclic-not-triggered`` (cycle exists but minimal routing cannot express
 it, e.g. a descending U-turn mutant), ``unroutable``.
 
-When the watchdog fires, the simulator's :class:`DeadlockForensics`
-snapshot is embedded in the trial so a disagreement report carries the
-wait-cycle witness; ``witness_in_core`` records whether the witness wires
-lie inside the CDG's cyclic core.
+When the watchdog fires, a :class:`DeadlockForensics` snapshot of the
+stopped simulator is embedded in the trial so a disagreement report
+carries the wait-cycle witness; ``witness_in_core`` records whether the
+witness wires lie inside the CDG's cyclic core.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from repro.errors import ConfigError, EbdaError, RoutingError, SimulationError
 from repro.fuzz.design import FuzzDesign
 from repro.routing.base import Candidate, RoutingFunction
 from repro.routing.table import TurnTableRouting
-from repro.sim.metrics import MetricsCollector
+from repro.sim.metrics import DeadlockForensics
 from repro.sim.network import NetworkSimulator
 from repro.sim.patterns import hotspot, rotate90, tornado, uniform
 from repro.sim.traffic import ScriptedTraffic, TrafficConfig, TrafficGenerator
@@ -507,10 +507,9 @@ class DifferentialOracle:
         graph: DependencyGraph,
         verdict: Verdict,
         native_routing: RoutingFunction | None = None,
-    ) -> tuple[list[dict], object]:
+    ) -> tuple[list[dict], DeadlockForensics | None]:
         profile = self.profile
         runs: list[dict] = []
-        forensics = None
 
         crafted_classes = (
             native_routing.channel_classes
@@ -523,9 +522,8 @@ class DifferentialOracle:
             )
             if crafted is not None:
                 runs.append(crafted)
-                forensics = forensics or crafted_forensics
                 if crafted.get("deadlocked"):
-                    return runs, forensics
+                    return runs, crafted_forensics
 
         if native_routing is not None:
             routing: RoutingFunction = native_routing
@@ -544,7 +542,7 @@ class DifferentialOracle:
                 runs.append(
                     {"kind": "routing-build", "unroutable": True, "error": str(exc)}
                 )
-                return runs, forensics
+                return runs, None
 
         nodes = sorted(topology.nodes)
         patterns: list[tuple[str, object]] = []
@@ -563,15 +561,15 @@ class DifferentialOracle:
         )
 
         replays = []
+        forensics = None
         for seed, (name, pattern) in itertools.product(profile.seeds, patterns):
-            run, replay = self._adversarial_run(
+            run, replay, run_forensics = self._adversarial_run(
                 topology, routing, rule, name, pattern, seed
             )
             runs.append(run)
             replays.append(replay)
             if run.get("deadlocked"):
-                if forensics is None and run.pop("_forensics", None):
-                    forensics = run.pop("_forensics_obj", None)
+                forensics = run_forensics
                 break
         self._mirror_on_vector(
             topology,
@@ -591,10 +589,10 @@ class DifferentialOracle:
         pattern_name: str,
         pattern,
         seed: int,
-    ) -> tuple[dict, tuple]:
-        """One reference run, and its replay for :meth:`_mirror_on_vector`."""
+    ) -> tuple[dict, tuple, DeadlockForensics | None]:
+        """One reference run, its replay for :meth:`_mirror_on_vector`, and
+        the forensics of the deadlock it declared (``None`` if none)."""
         profile = self.profile
-        collector = MetricsCollector(sample_every=max(1, profile.cycles))
         sim = NetworkSimulator(
             topology,
             routing,
@@ -602,7 +600,6 @@ class DifferentialOracle:
             buffer_depth=profile.buffer_depth,
             watchdog=profile.watchdog,
             seed=seed,
-            metrics=collector,
         )
         config = TrafficConfig(
             injection_rate=profile.injection_rate,
@@ -611,7 +608,7 @@ class DifferentialOracle:
             seed=seed,
         )
         record: dict = {"kind": "adversarial", "pattern": pattern_name, "seed": seed}
-        ref_stats = ref_error = None
+        ref_stats = ref_error = forensics = None
         try:
             stats = ref_stats = sim.run(
                 profile.cycles, TrafficGenerator(topology, config)
@@ -625,9 +622,8 @@ class DifferentialOracle:
                 cycles=stats.cycles,
                 delivered=stats.packets_delivered,
             )
-            if stats.deadlocked and collector.forensics is not None:
-                record["_forensics"] = True
-                record["_forensics_obj"] = collector.forensics
+            if stats.deadlocked:
+                forensics = DeadlockForensics.capture(sim)
         replay = (
             record,
             profile.cycles,
@@ -636,7 +632,7 @@ class DifferentialOracle:
             ref_stats,
             ref_error,
         )
-        return record, replay
+        return record, replay, forensics
 
     def _crafted_ring_run(
         self,
@@ -644,7 +640,7 @@ class DifferentialOracle:
         classes: tuple[Channel, ...],
         rule: ClassRule,
         graph: DependencyGraph,
-    ) -> tuple[dict | None, object]:
+    ) -> tuple[dict | None, DeadlockForensics | None]:
         profile = self.profile
         cycle = self._pick_cycle(graph)
         if cycle is None:
@@ -659,7 +655,6 @@ class DifferentialOracle:
             if dst == wire.src:
                 return None, None
             script.append((wire.src, dst, length))
-        collector = MetricsCollector(sample_every=profile.crafted_watchdog)
         sim = NetworkSimulator(
             topology,
             routing,
@@ -667,7 +662,6 @@ class DifferentialOracle:
             buffer_depth=depth,
             watchdog=profile.crafted_watchdog,
             seed=0,
-            metrics=collector,
         )
         record: dict = {"kind": "crafted-ring", "ring": [str(w) for w in cycle]}
         cycles = profile.crafted_watchdog * 5
@@ -688,9 +682,9 @@ class DifferentialOracle:
             buffer_depth=depth,
             watchdog=profile.crafted_watchdog,
         )
-        if ref_error is not None:
+        if ref_stats is None or not ref_stats.deadlocked:
             return record, None
-        return record, collector.forensics
+        return record, DeadlockForensics.capture(sim)
 
     def _mirror_on_vector(
         self,

@@ -35,9 +35,11 @@ from repro.routing.selection import first_candidate
 __all__ = [
     "BackendInfo",
     "backends",
+    "check_features",
     "check_run_config",
     "resolve_backend",
     "simulator_class",
+    "unsupported",
 ]
 
 
@@ -118,6 +120,46 @@ def simulator_class(name: str):
     return NetworkSimulator
 
 
+def unsupported(info: BackendInfo, feature: str) -> ConfigError:
+    """The error refusing ``feature`` on backend ``info``."""
+    return ConfigError(
+        f"backend {info.name!r} does not support {feature};"
+        " use RunConfig(backend='reference') for this configuration"
+        " (repro.sim.backends() lists capabilities)"
+    )
+
+
+def check_features(
+    info: BackendInfo, metrics=None, tracer=None, faults=None, recovery=None,
+    selection="first", switching: str = "wormhole",
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for a feature ``info`` lacks.
+
+    ``None``/``False`` requests nothing.  The one refusal table behind
+    :func:`check_run_config` and ``VectorSimulator``.
+    """
+    if not info.supports_metrics and metrics not in (None, False):
+        raise unsupported(info, "metrics= telemetry")
+    if not info.supports_tracer and tracer not in (None, False):
+        raise unsupported(info, "event tracing (trace=)")
+    if not info.supports_faults and faults is not None:
+        raise unsupported(info, "fault injection (faults=)")
+    if not info.supports_recovery and recovery is not None:
+        raise unsupported(info, "deadlock/fault recovery (recovery=)")
+    if switching not in info.supported_switching:
+        raise unsupported(info, f"switching={switching!r}")
+    if not callable(selection):
+        if selection not in info.supported_selections:
+            raise unsupported(info, f"selection={selection!r}")
+    elif "first" in info.supported_selections and len(info.supported_selections) == 1:
+        # A callable policy is only acceptable when it IS the one policy
+        # the backend implements.
+        from repro.sim.specs import resolve_selection
+
+        if resolve_selection(selection) is not first_candidate:
+            raise unsupported(info, "custom selection policies")
+
+
 def check_run_config(info: BackendInfo, config) -> None:
     """Reject a :class:`~repro.sim.runner.RunConfig` the backend cannot run.
 
@@ -126,30 +168,6 @@ def check_run_config(info: BackendInfo, config) -> None:
     here may still fail inside the simulator for reasons independent of
     the backend (bad topology, invalid rates, ...).
     """
-
-    def refuse(feature: str) -> ConfigError:
-        return ConfigError(
-            f"backend {info.name!r} does not support {feature};"
-            " use RunConfig(backend='reference') for this configuration"
-            " (repro.sim.backends() lists capabilities)"
-        )
-
-    if not info.supports_metrics and config.metrics not in (None, False):
-        raise refuse("metrics= telemetry")
-    if not info.supports_tracer and config.trace:
-        raise refuse("event tracing (trace=)")
-    if not info.supports_faults and config.faults is not None:
-        raise refuse("fault injection (faults=)")
-    if not info.supports_recovery and config.recovery is not None:
-        raise refuse("deadlock/fault recovery (recovery=)")
-    selection = config.selection
-    if not callable(selection):
-        if selection not in info.supported_selections:
-            raise refuse(f"selection={selection!r}")
-    elif "first" in info.supported_selections and len(info.supported_selections) == 1:
-        # A callable policy is only acceptable when it IS the one policy
-        # the backend implements.
-        from repro.sim.specs import resolve_selection
-
-        if resolve_selection(selection) is not first_candidate:
-            raise refuse("custom selection policies")
+    check_features(
+        info, config.metrics, config.trace, config.faults, config.recovery, config.selection
+    )

@@ -214,6 +214,52 @@ class DeadlockForensics:
     def render(self) -> str:
         return render_forensics([self.to_dict()])
 
+    @classmethod
+    def capture(cls, sim: "NetworkSimulator", trace_tail: int = 10) -> "DeadlockForensics":
+        """Snapshot the deadlock ``sim`` declared on its last step (``run``
+        stops there, so a stopped simulator gives the watchdog's snapshot),
+        keeping ``trace_tail`` trace events per blocked packet."""
+        from repro.sim.deadlock import cycle_witness, held_wires
+
+        witness = cycle_witness(sim)
+        pids: list[int] = []
+        held: list[list[str]] = []
+        if witness is not None:
+            pids = list(witness[0])
+            held = [[str(w) for w in wires] for wires in witness[1]]
+        blocked: list[BlockedPacket] = []
+        for i, pid in enumerate(pids):
+            packet = sim._find_packet(pid)
+            if packet is None:  # pragma: no cover - witness pids are in flight
+                continue
+            tail: list[str] = []
+            if sim.tracer is not None:
+                tail = [str(e) for e in sim.tracer.for_packet(pid)[-trace_tail:]]
+            blocked.append(
+                BlockedPacket(
+                    pid=pid,
+                    src=packet.src,
+                    dst=packet.dst,
+                    length=packet.length,
+                    age=sim.cycle - packet.created,
+                    holds=[str(w) for w in held_wires(sim, pid)],
+                    waits_on=pids[(i + 1) % len(pids)],
+                    trace_tail=tail,
+                )
+            )
+        occupancy = {
+            str(wire): ws.occupancy
+            for wire, ws in sim.state.items()
+            if ws.occupancy
+        }
+        return cls(
+            declared_at=sim.cycle,
+            wait_cycle=pids,
+            witness_channels=held,
+            blocked=blocked,
+            buffer_occupancy=occupancy,
+        )
+
 
 class MetricsCollector:
     """Samples a live simulator into time-series and cumulative counters.
@@ -331,48 +377,8 @@ class MetricsCollector:
 
     def on_deadlock(self, sim: "NetworkSimulator") -> None:
         """Watchdog hook: freeze the forensics snapshot."""
-        if self.forensics is not None:
-            return
-        from repro.sim.deadlock import cycle_witness, held_wires
-
-        witness = cycle_witness(sim)
-        pids: list[int] = []
-        held: list[list[str]] = []
-        if witness is not None:
-            pids = list(witness[0])
-            held = [[str(w) for w in wires] for wires in witness[1]]
-        blocked: list[BlockedPacket] = []
-        for i, pid in enumerate(pids):
-            packet = sim._find_packet(pid)
-            if packet is None:  # pragma: no cover - witness pids are in flight
-                continue
-            tail: list[str] = []
-            if sim.tracer is not None:
-                tail = [str(e) for e in sim.tracer.for_packet(pid)[-self.trace_tail:]]
-            blocked.append(
-                BlockedPacket(
-                    pid=pid,
-                    src=packet.src,
-                    dst=packet.dst,
-                    length=packet.length,
-                    age=sim.cycle - packet.created,
-                    holds=[str(w) for w in held_wires(sim, pid)],
-                    waits_on=pids[(i + 1) % len(pids)],
-                    trace_tail=tail,
-                )
-            )
-        occupancy = {
-            str(wire): ws.occupancy
-            for wire, ws in sim.state.items()
-            if ws.occupancy
-        }
-        self.forensics = DeadlockForensics(
-            declared_at=sim.cycle,
-            wait_cycle=pids,
-            witness_channels=held,
-            blocked=blocked,
-            buffer_occupancy=occupancy,
-        )
+        if self.forensics is None:
+            self.forensics = DeadlockForensics.capture(sim, self.trace_tail)
 
     # -- sampling ---------------------------------------------------------------
 

@@ -118,9 +118,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, RoutingError, SimulationError
+from repro.errors import RoutingError, SimulationError
 from repro.routing.base import RoutingFunction
 from repro.routing.selection import SelectionPolicy, first_candidate
+from repro.sim.backend import check_features, resolve_backend, unsupported
 from repro.sim.flit import Packet
 from repro.sim.image import memo_for
 from repro.sim.stats import SimStats
@@ -135,14 +136,6 @@ _ALWAYS_READY = -(1 << 40)
 
 #: No sites moved (the phases return the sites they moved).
 _NO_SITES = np.empty(0, dtype=np.int64)
-
-
-def _unsupported(feature: str) -> ConfigError:
-    return ConfigError(
-        f"backend 'vector' does not support {feature};"
-        " use RunConfig(backend='reference') for this configuration"
-        " (see repro.sim.backends() for the capability table)"
-    )
 
 
 class VectorSimulator:
@@ -177,21 +170,9 @@ class VectorSimulator:
         routing_factory=None,
         require_acyclic_reroute: bool = True,
     ) -> None:
-        if metrics is not None:
-            raise _unsupported("metrics= telemetry")
-        if tracer is not None:
-            raise _unsupported("event tracing")
-        if faults is not None:
-            raise _unsupported("fault injection (faults=)")
-        if recovery is not None:
-            raise _unsupported("deadlock/fault recovery (recovery=)")
-        if switching != "wormhole":
-            raise _unsupported(f"switching={switching!r} (wormhole only)")
-        if selection is not first_candidate:
-            raise _unsupported(
-                "selection policies other than 'first' (they consume RNG"
-                " in a per-flit order the batched kernel cannot reproduce)"
-            )
+        check_features(
+            resolve_backend("vector"), metrics, tracer, faults, recovery, selection, switching
+        )
         if pipeline_delay < 0:
             raise SimulationError("pipeline_delay cannot be negative")
         if buffer_depth < 1:
@@ -382,7 +363,7 @@ class VectorSimulator:
             stats.packets_lost += 1
             return
         if packet.waypoints:
-            raise _unsupported("multicast waypoints")
+            raise unsupported(resolve_backend("vector"), "multicast waypoints")
         self.topology.validate_node(packet.src)
         self.topology.validate_node(packet.dst)
         ip = self._add_packet(packet)
@@ -1003,7 +984,8 @@ class VectorSimulator:
         witness) is unsupported.
         """
         if raise_on_deadlock:
-            raise _unsupported(
+            raise unsupported(
+                resolve_backend("vector"),
                 "raise_on_deadlock=True (the wait-for witness needs the"
                 " reference object graph)"
             )

@@ -127,9 +127,19 @@ class TestChaosCampaign:
         assert not a.interrupted
         assert a.trials_completed == SMALL.trials
 
-    def test_parallel_matches_serial(self):
-        serial = ChaosCampaign(SMALL).run()
-        parallel = ChaosCampaign(SMALL, engine=SweepEngine(jobs=2)).run()
+    @pytest.mark.parametrize(
+        "config, jobs",
+        [
+            (SMALL, 2),
+            # A jobs=4 batch holds 16 trials, so 24 trials span two batches.
+            (CampaignConfig(trials=24, seed=0, mesh=(4, 4), cycles=300), 4),
+        ],
+        ids=["one-batch", "two-batches"],
+    )
+    def test_parallel_matches_serial(self, config, jobs):
+        serial = ChaosCampaign(config).run()
+        parallel = ChaosCampaign(config, engine=SweepEngine(jobs=jobs)).run()
+        assert parallel.trials_completed == config.trials
         assert serial.trial_bytes == parallel.trial_bytes
 
     def test_budget_interrupts_then_resume_is_byte_identical(self, tmp_path):

@@ -3,8 +3,8 @@
 These are the repository's acceptance tests: each experiment module's
 ``run()`` re-derives a paper artifact and asserts the claims.  Simulation-
 heavy experiments run with reduced cycle counts to stay unit-test fast;
-the benchmarks run them at full scale.  V2 runs at full scale here, as
-the sweep the result-cache and span checks are made on.
+``repro run all`` runs every experiment at full scale.  V2 runs at full
+scale here, as the sweep the result-cache and span checks are made on.
 """
 
 import pytest

@@ -266,3 +266,57 @@ class TestBackendDivergenceOracle:
         assert seen == []
         assert result.backend_agree is None
         assert all("backend_agree" not in r for r in result.sim_runs)
+
+
+class TestForensicsAfterTheRun:
+    """The oracle builds forensics from the stopped simulator; a collector
+    on the same run freezes the same snapshot when the watchdog fires."""
+
+    def test_corpus_witness_matches_the_collector(self, monkeypatch):
+        from pathlib import Path
+
+        from repro.fuzz import oracle as oracle_module
+        from repro.fuzz.corpus import load_entry
+        from repro.sim.metrics import DeadlockForensics, MetricsCollector
+        from repro.sim.network import NetworkSimulator
+
+        metered = []
+
+        class Metered(NetworkSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, metrics=MetricsCollector(), **kwargs)
+                metered.append(self)
+
+        monkeypatch.setattr(oracle_module, "NetworkSimulator", Metered)
+        corpus = Path(__file__).parent / "corpus"
+        design = load_entry(corpus / "fuzz-250e080f2156.json").design
+        result = DifferentialOracle(fast_profile()).run(design)
+        deadlocked = [sim for sim in metered if sim.stats.deadlocked]
+        assert result.sim_deadlock and deadlocked
+        assert result.forensics == deadlocked[0].metrics.forensics.to_dict()
+        for sim in deadlocked:
+            assert (
+                DeadlockForensics.capture(sim).to_dict()
+                == sim.metrics.forensics.to_dict()
+            )
+
+    def test_unrestricted_mesh_deadlock_matches_the_collector(self):
+        from repro.sim.metrics import DeadlockForensics, MetricsCollector
+        from repro.sim.network import NetworkSimulator
+        from repro.sim.patterns import uniform
+        from repro.sim.specs import resolve_routing_factory
+        from repro.sim.trace import Trace
+        from repro.sim.traffic import TrafficConfig, TrafficGenerator
+        from repro.topology import Mesh
+
+        mesh = Mesh(4, 4)
+        collector = MetricsCollector()
+        sim = NetworkSimulator(
+            mesh, resolve_routing_factory("unrestricted-adaptive")(mesh),
+            buffer_depth=2, tracer=Trace(), metrics=collector,
+        )
+        config = TrafficConfig(injection_rate=0.3, packet_length=8, pattern=uniform)
+        assert sim.run(3000, TrafficGenerator(mesh, config)).deadlocked
+        captured = DeadlockForensics.capture(sim, collector.trace_tail).to_dict()
+        assert captured == collector.forensics.to_dict()
+        assert any(b["trace_tail"] for b in captured["blocked"])

@@ -597,6 +597,10 @@ class _Twin:
         finally:
             self.pair.finish()
 
+    def __getattr__(self, name):
+        # The oracle reads a stopped run's state for deadlock forensics.
+        return getattr(self.pair.sim, name)
+
 
 @given(
     seed=st.integers(min_value=0, max_value=999),

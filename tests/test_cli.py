@@ -60,6 +60,24 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "Fig99"])
 
+    def test_failed_check_exits_one(self, capsys, monkeypatch, tmp_path):
+        import repro.experiments
+        from repro.experiments import ExperimentResult, check_eq, check_true
+        from repro.obs.ledger import RunLedger
+
+        def failing():
+            checks = (check_true("holds", True), check_eq("count", 3, 4))
+            return ExperimentResult("X1", "a failing claim", "text", {}, checks)
+
+        monkeypatch.setattr(repro.experiments, "ALL_EXPERIMENTS", {"X1": failing})
+        ledger = tmp_path / "ledger"
+        assert main(["run", "all", "--ledger", str(ledger)]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] count" in captured.out
+        assert "1 experiment(s) FAILED" in captured.err
+        (record,) = RunLedger(ledger).records()
+        assert (record.kind, record.spec, record.outcome) == ("experiment", "X1", "failed")
+
 
 class TestSimulate:
     def test_catalog_design(self, capsys):

@@ -77,15 +77,17 @@ def test_every_doc_citation_resolves():
 
 def test_checker_flags_missing_files_and_tests():
     text = (
-        "`benchmarks/bench_tables.py::test_table1` `bench_tables.py::test_table1_max_adaptiveness`"
-        " `benchmarks/bench_table1.py` `benchmarks/bench_tables.py::test_table1_max_adaptiveness`"
+        "`tests/test_doc_citations.py::test_checker`"
+        " `test_doc_citations.py::test_checker_flags_missing_files_and_tests`"
+        " `benchmarks/bench_table1.py`"
+        " `tests/test_doc_citations.py::test_checker_flags_missing_files_and_tests`"
         " `core/theorems.py::uturn_allowed` `tools/ci_*_check.py`"
         " --replay tests/fuzz/corpus --replay tests/fuzz/corpora."
         " src/dst pairs, src/dst/length/age"
     )
     assert _broken_citations(text) == [
-        "benchmarks/bench_tables.py::test_table1",
-        "bench_tables.py::test_table1_max_adaptiveness",
+        "tests/test_doc_citations.py::test_checker",
+        "test_doc_citations.py::test_checker_flags_missing_files_and_tests",
         "benchmarks/bench_table1.py",
         "tests/fuzz/corpora",
     ]
