@@ -38,6 +38,7 @@ Quickstart::
     assert verdict.acyclic
 """
 
+from repro import _facade
 from repro.core import (
     Channel,
     Partition,
@@ -71,44 +72,18 @@ __version__ = "1.8.0"
 #: The stable facade (PEP 562 lazy exports): resolving any of these pulls
 #: in the simulator/verification stack on first use, keeping plain
 #: ``import repro`` as light as the core theory.
-_FACADE = {
-    "run_point": "repro.api",
-    "sweep": "repro.api",
-    "verify": "repro.api",
-    "RunConfig": "repro.sim.runner",
-    "RunResult": "repro.sim.runner",
-    "BackendInfo": "repro.sim.backend",
-    "backends": "repro.sim.backend",
-    "SimStats": "repro.sim.stats",
-    "SweepEngine": "repro.sim.parallel",
-    "SweepReport": "repro.sim.parallel",
-    "ResultCache": "repro.sim.parallel",
-    "MetricsCollector": "repro.sim.metrics",
-    "DeadlockForensics": "repro.sim.metrics",
-    "FuzzDesign": "repro.fuzz",
-    "DesignGenerator": "repro.fuzz",
-    "DifferentialOracle": "repro.fuzz",
-    "run_fuzz": "repro.fuzz",
-    "shrink": "repro.fuzz",
-    "Analyzer": "repro.analyze",
-    "AnalysisReport": "repro.analyze",
-    "DesignUnit": "repro.analyze",
-    "Diagnostic": "repro.analyze",
-    "lint_design": "repro.analyze",
+_EXPORTS = {
+    "repro.api": ("run_point", "sweep", "verify"),
+    "repro.sim.runner": ("RunConfig", "RunResult"),
+    "repro.sim.backend": ("BackendInfo", "backends"),
+    "repro.sim.stats": ("SimStats",),
+    "repro.sim.parallel": ("SweepEngine", "SweepReport", "ResultCache"),
+    "repro.sim.metrics": ("MetricsCollector", "DeadlockForensics"),
+    "repro.fuzz": ("FuzzDesign", "DesignGenerator", "DifferentialOracle", "run_fuzz", "shrink"),
+    "repro.analyze": ("Analyzer", "AnalysisReport", "DesignUnit", "Diagnostic", "lint_design"),
 }
 
-
-def __getattr__(name: str):
-    if name in _FACADE:
-        import importlib
-
-        return getattr(importlib.import_module(_FACADE[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_FACADE))
-
+__getattr__, __dir__ = _facade.lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "run_point",

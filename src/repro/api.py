@@ -24,8 +24,6 @@ from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
 from repro.errors import EbdaError
 from repro.routing.base import RoutingFunction
-from repro.sim.parallel import SweepEngine, SweepReport
-from repro.sim.runner import RunConfig, RunResult
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -33,7 +31,8 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from repro.cdg.verify import Verdict
-    from repro.sim.parallel import ResultCache
+    from repro.sim.parallel import ResultCache, SweepEngine, SweepReport
+    from repro.sim.runner import RunConfig, RunResult
 
 __all__ = ["run_point", "sweep", "verify"]
 
@@ -69,6 +68,9 @@ def run_point(
     """
     from dataclasses import replace
 
+    from repro.sim.parallel import SweepEngine
+    from repro.sim.runner import RunConfig
+
     config = config if config is not None else RunConfig()
     if metrics is not None:
         config = replace(config, metrics=metrics)
@@ -99,6 +101,9 @@ def sweep(
     Returns a :class:`~repro.sim.parallel.SweepReport`; the bare result
     list is its ``.results``.
     """
+    from repro.sim.parallel import SweepEngine
+    from repro.sim.runner import RunConfig
+
     if engine is None:
         engine = SweepEngine(jobs=jobs, cache=cache)
     config = config if config is not None else RunConfig()

@@ -85,6 +85,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise SimulationError("a campaign needs at least one trial")
+        if self.cycles < 1:
+            raise SimulationError("a campaign needs at least one cycle per trial")
         if self.max_faults < 0:
             raise SimulationError("max_faults cannot be negative")
         object.__setattr__(self, "mesh", tuple(int(k) for k in self.mesh))

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError
-from repro.sim.flit import Packet
+from repro.routing.packet import Packet
 from repro.store import atomic_write, canonical_json, digest, read_jsonl
 from repro.topology.base import Coord, Topology
 

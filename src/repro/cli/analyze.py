@@ -9,7 +9,7 @@ from dataclasses import replace
 from repro.cli import parse_mesh, record, resolve_design, verb
 from repro.core import catalog
 from repro.store import atomic_write
-from repro.topology import NAMED_RULES
+from repro.topology import NAMED_RULES, resolve_rule
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -47,11 +47,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     ignore = tuple(args.ignore.split(",")) if args.ignore else ()
     analyzer = Analyzer(select=select, ignore=ignore)
 
-    rule = None
-    if args.rule:
-        from repro.sim.specs import resolve_rule
-
-        rule = resolve_rule(args.rule)
+    rule = resolve_rule(args.rule) if args.rule else None
 
     def flagged_topology():
         if args.no_topology:

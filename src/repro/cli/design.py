@@ -9,7 +9,7 @@ from repro.cdg import verify_design
 from repro.cli import Verb, parse_mesh, record, resolve_design, verb
 from repro.core import PartitionSequence, catalog, extract_turns, partition_vc_budget
 from repro.topology import Mesh, NAMED_RULES
-from repro.topology.classes import rule_for_design
+from repro.topology.classes import resolve_rule, rule_for_design
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -31,12 +31,7 @@ LIST = Verb("list", "list experiments and named designs", cmd_list)
 def cmd_verify(args: argparse.Namespace) -> int:
     design, suggested = resolve_design(args.design)
     mesh = parse_mesh(args.mesh)
-    if args.rule:
-        from repro.sim.specs import resolve_rule
-
-        rule = resolve_rule(args.rule)
-    else:
-        rule = rule_for_design(suggested)
+    rule = resolve_rule(args.rule) if args.rule else rule_for_design(suggested)
     print(f"design: {design}")
     verdict = verify_design(design, mesh, rule)
     print(f"on {mesh!r}: {verdict}")

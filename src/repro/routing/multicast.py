@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.core.channel import Channel
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction
-from repro.sim.flit import Packet
+from repro.routing.packet import Packet
 from repro.topology.base import Coord
 from repro.topology.classes import row_parity
 from repro.topology.mesh import Mesh

@@ -1,133 +1,84 @@
-"""Cycle-based flit-level wormhole network simulator."""
+"""Cycle-based flit-level wormhole network simulator.
 
-from repro.sim.backend import (
-    BackendInfo,
-    backends,
-    check_run_config,
-    resolve_backend,
-    simulator_class,
-)
-from repro.sim.buffers import WireState
-from repro.sim.deadlock import (
-    build_waitfor_graph,
-    cycle_witness,
-    held_wires,
-    waitfor_cycle,
-)
-from repro.sim.faults import FaultEvent, FaultSchedule, RecoveryPolicy
-from repro.sim.flit import Flit, Packet
-from repro.sim.metrics import (
-    DeadlockForensics,
-    MetricsCollector,
-    TimeSeries,
-    load_metrics,
-    render_forensics,
-    render_heatmap,
-    render_summary,
-)
-from repro.sim.network import NetworkSimulator
-from repro.sim.patterns import (
-    NAMED_PATTERNS,
-    TrafficPattern,
-    bit_complement,
-    bit_reverse,
-    hotspot,
-    neighbor,
-    rotate90,
-    shuffle,
-    tornado,
-    transpose,
-    uniform,
-)
-from repro.sim.parallel import (
-    PointOutcome,
-    ResultCache,
-    SweepEngine,
-    SweepReport,
-    cache_key,
-    default_cache_dir,
-)
-from repro.sim.runner import (
-    RunConfig,
-    RunResult,
-    compare_table,
-    run_point,
-    saturation_rate,
-    sweep_rates,
-)
-from repro.sim.specs import (
-    NAMED_ROUTING_FACTORIES,
-    EbdaDesignFactory,
-    RoutingFactory,
-    register_routing_factory,
-    resolve_pattern,
-    resolve_routing_factory,
-    resolve_selection,
-)
-from repro.sim.stats import SimStats
-from repro.sim.trace import Trace, TraceEvent
-from repro.sim.traffic import ScriptedTraffic, TrafficConfig, TrafficGenerator
-from repro.sim.vector import VectorSimulator
+The package is a lazy facade (PEP 562), like :mod:`repro` itself: each
+name below is imported from its home module on first use, so code that
+only needs one corner of the simulator, or none of it, loads no more.
+"""
 
-__all__ = [
-    "BackendInfo",
-    "backends",
-    "check_run_config",
-    "resolve_backend",
-    "simulator_class",
-    "WireState",
-    "build_waitfor_graph",
-    "cycle_witness",
-    "held_wires",
-    "waitfor_cycle",
-    "FaultEvent",
-    "FaultSchedule",
-    "RecoveryPolicy",
-    "Flit",
-    "Packet",
-    "DeadlockForensics",
-    "MetricsCollector",
-    "TimeSeries",
-    "load_metrics",
-    "render_forensics",
-    "render_heatmap",
-    "render_summary",
-    "NetworkSimulator",
-    "NAMED_PATTERNS",
-    "TrafficPattern",
-    "bit_complement",
-    "bit_reverse",
-    "hotspot",
-    "neighbor",
-    "rotate90",
-    "shuffle",
-    "tornado",
-    "transpose",
-    "uniform",
-    "PointOutcome",
-    "ResultCache",
-    "SweepEngine",
-    "SweepReport",
-    "cache_key",
-    "default_cache_dir",
-    "RunConfig",
-    "RunResult",
-    "compare_table",
-    "run_point",
-    "saturation_rate",
-    "sweep_rates",
-    "NAMED_ROUTING_FACTORIES",
-    "EbdaDesignFactory",
-    "RoutingFactory",
-    "register_routing_factory",
-    "resolve_pattern",
-    "resolve_routing_factory",
-    "resolve_selection",
-    "SimStats",
-    "Trace",
-    "TraceEvent",
-    "ScriptedTraffic",
-    "TrafficConfig",
-    "TrafficGenerator",
-    "VectorSimulator",
-]
+from repro import _facade
+
+#: Home module -> the names this facade re-exports from it.
+_EXPORTS = {
+    "repro.sim.backend": (
+        "BackendInfo",
+        "backends",
+        "check_run_config",
+        "resolve_backend",
+        "simulator_class",
+    ),
+    "repro.sim.buffers": ("WireState",),
+    "repro.sim.deadlock": (
+        "build_waitfor_graph",
+        "cycle_witness",
+        "held_wires",
+        "waitfor_cycle",
+    ),
+    "repro.sim.faults": ("FaultEvent", "FaultSchedule", "RecoveryPolicy"),
+    "repro.routing.packet": ("Flit", "Packet"),
+    "repro.sim.metrics": (
+        "DeadlockForensics",
+        "MetricsCollector",
+        "TimeSeries",
+        "load_metrics",
+        "render_forensics",
+        "render_heatmap",
+        "render_summary",
+    ),
+    "repro.sim.network": ("NetworkSimulator",),
+    "repro.sim.patterns": (
+        "NAMED_PATTERNS",
+        "TrafficPattern",
+        "bit_complement",
+        "bit_reverse",
+        "hotspot",
+        "neighbor",
+        "rotate90",
+        "shuffle",
+        "tornado",
+        "transpose",
+        "uniform",
+    ),
+    "repro.sim.parallel": (
+        "PointOutcome",
+        "ResultCache",
+        "SweepEngine",
+        "SweepReport",
+        "cache_key",
+        "default_cache_dir",
+    ),
+    "repro.sim.runner": (
+        "RunConfig",
+        "RunResult",
+        "compare_table",
+        "run_point",
+        "saturation_rate",
+        "sweep_rates",
+    ),
+    "repro.sim.specs": (
+        "NAMED_ROUTING_FACTORIES",
+        "EbdaDesignFactory",
+        "RoutingFactory",
+        "register_routing_factory",
+        "resolve_pattern",
+        "resolve_routing_factory",
+        "resolve_selection",
+    ),
+    "repro.sim.stats": ("SimStats",),
+    "repro.sim.trace": ("Trace", "TraceEvent"),
+    "repro.sim.traffic": ("ScriptedTraffic", "TrafficConfig", "TrafficGenerator"),
+    "repro.sim.vector": ("VectorSimulator",),
+}
+
+__getattr__, __dir__ = _facade.lazy_exports(globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.sim.flit import Flit
+from repro.routing.packet import Flit
 from repro.topology.wires import Wire
 
 

@@ -48,10 +48,10 @@ from repro.errors import (
     UnroutableError,
 )
 from repro.routing.base import RoutingFunction
+from repro.routing.packet import Flit, Packet
 from repro.routing.selection import SelectionContext, SelectionPolicy, first_candidate
 from repro.sim.buffers import WireState
 from repro.sim.faults import FaultEvent, FaultSchedule, RecoveryPolicy
-from repro.sim.flit import Flit, Packet
 from repro.sim.stats import SimStats
 from repro.sim.traffic import TrafficGenerator
 from repro.topology.base import Coord, Link, Topology

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.errors import SimulationError
 from repro.routing.base import RoutingFunction
 from repro.routing.selection import SelectionPolicy
 from repro.sim.backend import simulator_class
@@ -100,6 +101,10 @@ class RunConfig:
     #: Cycle-exact backends share result-cache entries: the backend name
     #: is deliberately absent from the cache key.
     backend: str = "reference"
+
+    def __post_init__(self) -> None:
+        if self.cycles < 0:
+            raise SimulationError(f"cycles must be >= 0, got {self.cycles}")
 
     def with_rate(self, rate: float) -> "RunConfig":
         return replace(self, injection_rate=rate)

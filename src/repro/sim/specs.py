@@ -208,17 +208,6 @@ def resolve_routing_factory(spec: "RoutingFactory | str") -> RoutingFactory:
     return EbdaDesignFactory(spec)
 
 
-def resolve_rule(spec: "ClassRule | str") -> ClassRule:
-    """A class-rule name or callable -> the rule callable."""
-    if callable(spec):
-        return spec
-    try:
-        return NAMED_RULES[spec]
-    except KeyError:
-        known = ", ".join(sorted(NAMED_RULES))
-        raise EbdaError(f"unknown class rule {spec!r}; known rules: {known}") from None
-
-
 def _reverse(registry: dict[str, object], value: object) -> str | None:
     for name, candidate in registry.items():
         if candidate is value:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.sim.flit import Flit, Packet
+from repro.routing.packet import Flit, Packet
 from repro.store import write_jsonl
 from repro.topology.base import Coord
 from repro.topology.wires import Wire

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError
-from repro.sim.flit import Packet
+from repro.routing.packet import Packet
 from repro.sim.patterns import TrafficPattern, uniform
 from repro.topology.base import Coord, Topology
 

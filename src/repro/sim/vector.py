@@ -120,9 +120,9 @@ import numpy as np
 
 from repro.errors import RoutingError, SimulationError
 from repro.routing.base import RoutingFunction
+from repro.routing.packet import Packet
 from repro.routing.selection import SelectionPolicy, first_candidate
 from repro.sim.backend import check_features, resolve_backend, unsupported
-from repro.sim.flit import Packet
 from repro.sim.image import memo_for
 from repro.sim.stats import SimStats
 from repro.topology.base import Coord, Topology

@@ -8,6 +8,7 @@ from repro.topology.classes import (
     local_global,
     no_classes,
     parity_rule,
+    resolve_rule,
     row_parity,
     rule_for_design,
     up_down_signs,
@@ -32,6 +33,7 @@ __all__ = [
     "local_global",
     "no_classes",
     "parity_rule",
+    "resolve_rule",
     "row_parity",
     "rule_for_design",
     "up_down_signs",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import EbdaError
 from repro.topology.base import Link
 
 #: A rule maps each link to the class tag channels need to ride it.
@@ -110,6 +111,17 @@ NAMED_RULES: dict[str, ClassRule] = {
     "dragonfly": local_global,
     "updown-signs": up_down_signs,
 }
+
+
+def resolve_rule(spec: "ClassRule | str") -> ClassRule:
+    """A class-rule name or callable -> the rule callable."""
+    if callable(spec):
+        return spec
+    try:
+        return NAMED_RULES[spec]
+    except KeyError:
+        known = ", ".join(sorted(NAMED_RULES))
+        raise EbdaError(f"unknown class rule {spec!r}; known rules: {known}") from None
 
 
 def rule_for_design(design_name: str) -> ClassRule:

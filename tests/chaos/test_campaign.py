@@ -24,6 +24,8 @@ class TestCampaignConfig:
         with pytest.raises(SimulationError):
             CampaignConfig(trials=0)
         with pytest.raises(SimulationError):
+            CampaignConfig(cycles=0)
+        with pytest.raises(SimulationError):
             CampaignConfig(workloads=())
         with pytest.raises(EbdaError):
             CampaignConfig(policies=("nope",))

@@ -45,7 +45,7 @@ from repro.sim import (
     TrafficConfig,
     TrafficGenerator,
 )
-from repro.sim.flit import Flit
+from repro.routing.packet import Flit
 from repro.sim.network import _InjectionState
 from repro.topology import Dragonfly, Mesh
 from repro.topology.base import Link

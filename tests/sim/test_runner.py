@@ -1,7 +1,10 @@
 """Unit tests for the experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.errors import SimulationError
 from repro.routing import MinimalFullyAdaptive, xy_routing
 from repro.sim import (
     RunConfig,
@@ -32,6 +35,20 @@ class TestRunPoint:
         b = run_point(mesh4, xy_routing(mesh4), cfg)
         assert a.stats.packets_injected == b.stats.packets_injected
         assert a.stats.latencies == b.stats.latencies
+
+
+class TestCycleRange:
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_negative_cycles_refused(self, mesh4, backend):
+        with pytest.raises(SimulationError, match="cycles must be >= 0"):
+            run_point(mesh4, "xy", RunConfig(cycles=-5, injection_rate=0.1, backend=backend))
+        with pytest.raises(SimulationError, match="cycles must be >= 0"):
+            replace(RunConfig(backend=backend), cycles=-1)
+
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_zero_cycles_run(self, mesh4, backend):
+        result = run_point(mesh4, "xy", RunConfig(cycles=0, injection_rate=0.1, backend=backend))
+        assert result.stats.cycles == 0 and result.stats.packets_injected == 0
 
 
 class TestSweep:

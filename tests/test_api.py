@@ -1,20 +1,42 @@
 """The stable top-level facade: repro.run_point / repro.sweep / repro.verify."""
 
+import importlib
+
 import pytest
 
 import repro
+import repro.sim
 from repro.core import PartitionSequence, catalog
 from repro.errors import EbdaError
 from repro.routing import WestFirst
 from repro.sim import RunConfig, SweepReport
 
 
+def _assert_canonical(facade, name):
+    """``facade.name`` is the object its defining module binds, and ``dir`` lists it."""
+    obj = getattr(facade, name)
+    (home,) = (module for module, names in facade._EXPORTS.items() if name in names)
+    assert obj is getattr(importlib.import_module(home), name)
+    defining = getattr(obj, "__module__", "")
+    if defining.startswith("repro."):
+        assert getattr(importlib.import_module(defining), name) is obj
+    assert name in dir(facade)
+
+
+#: ``from repro.sim import *``, run once.
+SIM_STAR: dict = {}
+exec("from repro.sim import *", SIM_STAR)
+
+
 class TestFacadeExports:
     def test_lazy_attributes_resolve(self):
-        for name in ("run_point", "sweep", "verify", "RunConfig", "RunResult",
-                     "SimStats", "SweepEngine", "SweepReport", "ResultCache"):
-            assert getattr(repro, name) is not None
-            assert name in dir(repro)
+        for name in sorted(set(repro.__all__) - set(vars(repro))):
+            _assert_canonical(repro, name)
+
+    @pytest.mark.parametrize("name", repro.sim.__all__)
+    def test_sim_facade_exports(self, name):
+        _assert_canonical(repro.sim, name)
+        assert SIM_STAR[name] is getattr(repro.sim, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -133,6 +133,12 @@ class TestBackendFlag:
     def _cache(self, tmp_path):
         return ["--cache", "--cache-dir", str(tmp_path)]
 
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_negative_cycles_refused(self, backend):
+        with pytest.raises(SystemExit, match="cycles must be >= 0, got -5"):
+            main(["simulate", "xy", "--mesh", "4x4", "--cycles", "-5", "--rate", "0.1",
+                  "--backend", backend])
+
     def test_vector_prints_reference_stats(self, capsys):
         assert main(["simulate", "xy", *self.ARGS, "--backend", "reference"]) == 0
         reference = capsys.readouterr().out
@@ -387,6 +393,10 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "chaos survival report" in out
         assert "P[delivered]" in out
+
+    def test_zero_cycles_refused(self):
+        with pytest.raises(SystemExit, match="at least one cycle"):
+            main(["chaos", "--trials", "2", "--seed", "0", "--cycles", "0"])
 
     def test_out_writes_loadable_jsonl(self, capsys, tmp_path):
         from repro.chaos import load_survival
