@@ -61,6 +61,7 @@ _EXPORTS = {
         "RunResult",
         "compare_table",
         "run_point",
+        "run_points",
         "saturation_rate",
         "sweep_rates",
     ),

@@ -39,6 +39,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +47,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.routing.base import RoutingFunction
 from repro.sim.backend import check_run_config, resolve_backend
-from repro.sim.runner import RunConfig, RunResult, run_point
+from repro.sim.runner import RunConfig, RunResult, run_points
 from repro.sim.specs import resolve_routing_factory, spec_token
 from repro.sim.stats import SimStats
 from repro.store import atomic_write, default_cache_dir, digest
@@ -434,11 +435,31 @@ _SIM_HELP = "Wall seconds per simulated point, by backend"
 
 
 def _execute_point(payload: tuple) -> tuple[RunResult, float]:
-    """Worker entry: simulate one point, timing it (module-level: picklable)."""
+    """Worker entry: simulate one point, with its seconds (module-level: picklable)."""
     topology, routing, config, rule = payload
-    start = time.perf_counter()
-    result = run_point(topology, routing, config, rule)
-    return result, time.perf_counter() - start
+    (outcome,) = run_points(topology, routing, [config], rule)
+    return outcome
+
+
+def _execute_serially(
+    pending: list[tuple[int, str | None, tuple]],
+) -> list[tuple[RunResult, float]]:
+    """Simulate the pending points in-process, in order, each with its
+    seconds.
+
+    Consecutive points on the same topology, routing and rule objects (a
+    sweep's) go to :func:`~repro.sim.runner.run_points` together, which
+    steps those that share a network as one batch kernel.
+    """
+    results: list[tuple[RunResult, float]] = []
+    for _same, group in groupby(
+        (payload for _i, _key, payload in pending),
+        key=lambda payload: (id(payload[0]), id(payload[1]), id(payload[3])),
+    ):
+        points = list(group)
+        topology, routing, _config, rule = points[0]
+        results += run_points(topology, routing, [config for _t, _r, config, _ in points], rule)
+    return results
 
 
 def _picklable(obj: object) -> bool:
@@ -542,9 +563,14 @@ class SweepEngine:
         Every point's config is first checked against its backend
         (:func:`~repro.sim.backend.check_run_config`), so a point the
         backend cannot run is refused whether or not it is cached.  Cache
-        hits load immediately; misses fan out over the process pool when
-        ``jobs > 1`` and every miss payload is picklable, otherwise they
-        run in-process (same results, serially).
+        hits load immediately; misses fan out over the process pool, one
+        point per task, when ``jobs > 1`` and every miss payload is
+        picklable.  Otherwise they run in-process through
+        :func:`~repro.sim.runner.run_points`, which steps the vector misses
+        on one network as one batch kernel (same results).  A batched
+        point's ``wall_time`` — in its :class:`PointOutcome`, its cache
+        entry and the ``simulate:<backend>`` stage — is its equal share of
+        the batch's.
         """
         started = time.perf_counter()
         stage_times = {
@@ -601,7 +627,7 @@ class SweepEngine:
         else:
             with tracer.span("sweep.simulate", parallel=False, misses=len(pending)):
                 mark = time.perf_counter()
-                executed = [_execute_point(payload) for _i, _key, payload in pending]
+                executed = _execute_serially(pending)
                 stage_times["simulate"] = time.perf_counter() - mark
 
         with tracer.span("sweep.cache_write"):

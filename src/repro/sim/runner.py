@@ -15,10 +15,11 @@ and opt out of result caching.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import EbdaError, SimulationError
 from repro.routing.base import RoutingFunction
 from repro.routing.selection import SelectionPolicy
 from repro.sim.backend import simulator_class
@@ -30,6 +31,7 @@ from repro.sim.specs import (
     resolve_pattern,
     resolve_routing_factory,
     resolve_selection,
+    spec_token,
 )
 from repro.sim.stats import SimStats
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
@@ -45,6 +47,7 @@ __all__ = [
     "RunResult",
     "compare_table",
     "run_point",
+    "run_points",
     "saturation_rate",
     "sweep_rates",
 ]
@@ -155,21 +158,121 @@ def run_point(
     config: RunConfig,
     rule: ClassRule = no_classes,
 ) -> RunResult:
-    """Run one simulation point: the only code that turns a RunConfig into a simulator.
+    """Run one simulation point: :func:`run_points` of one config."""
+    ((result, _seconds),) = run_points(topology, routing, [config], rule)
+    return result
+
+
+def run_points(
+    topology: Topology,
+    routing: RoutingFunction | RoutingFactory | str,
+    configs: Sequence[RunConfig],
+    rule: ClassRule = no_classes,
+) -> list[tuple[RunResult, float]]:
+    """Run points on one network spec: the only code that builds simulators.
 
     ``routing`` may be a ready :class:`RoutingFunction`, a factory, or a
     named routing spec (``"xy"``, any catalog design name, arrow
     notation) resolved via :mod:`repro.sim.specs`.  A factory's routing
-    comes from :func:`~repro.sim.image.spec_network`, so points on
-    content-equal networks share one routing instance and, through it,
-    one network image.  Backend capabilities are checked by
-    :meth:`~repro.sim.parallel.SweepEngine.run_many`; a direct call with
-    a config the backend lacks is refused by the simulator's constructor.
+    comes from :func:`~repro.sim.image.spec_network`, once per config, so
+    points on content-equal networks share one routing instance and,
+    through it, one network image.
+
+    Points that share that routing instance and every kernel-side option
+    (:func:`_kernel_key`) run as the replicas of one
+    :func:`~repro.sim.vector.run_batch` kernel; every other point runs
+    alone on its backend's simulator.  Either way each point's stats are
+    those of its solo run.  Returns, per config and in order, its result
+    and the seconds spent on it — a batched point's equal share of its
+    batch's, routing resolution included.  Errors surface in
+    config order: the first failing point's error is raised, as running
+    the points one by one would raise it.  Backend capabilities are
+    checked by :meth:`~repro.sim.parallel.SweepEngine.run_many`; a direct
+    call with a config the backend lacks is refused by the simulator's
+    constructor.
     """
-    if not isinstance(routing, RoutingFunction):
-        topology, routing, rule = spec_network(
-            topology, resolve_routing_factory(routing), rule
-        )
+    configs = list(configs)
+    seconds = [0.0] * len(configs)
+    if isinstance(routing, RoutingFunction):
+        networks = [(topology, routing, rule)] * len(configs)
+    else:
+        factory = resolve_routing_factory(routing)
+        networks = []
+        for i in range(len(configs)):
+            start = time.perf_counter()
+            networks.append(spec_network(topology, factory, rule))
+            seconds[i] = time.perf_counter() - start
+    batches: dict[tuple, list[int]] = {}
+    for i, (config, (_topology, shared, _rule)) in enumerate(zip(configs, networks)):
+        key = _kernel_key(config, shared)
+        if key is not None:
+            batches.setdefault(key, []).append(i)
+    #: First point of each batch of two or more -> the batch's points.
+    batch_at = {members[0]: members for members in batches.values() if len(members) > 1}
+
+    outcomes: list[RunResult | Exception | None] = [None] * len(configs)
+    for i, config in enumerate(configs):
+        start = time.perf_counter()
+        if i in batch_at:
+            members = batch_at[i]
+            got = _run_batched(networks[i], [configs[j] for j in members])
+            elapsed = time.perf_counter() - start + sum(seconds[j] for j in members)
+            for j, outcome in zip(members, got):
+                outcomes[j] = outcome
+                seconds[j] = elapsed / len(members)
+        elif outcomes[i] is None:  # not run yet as part of an earlier batch
+            outcomes[i] = _run_alone(networks[i], config)
+            seconds[i] += time.perf_counter() - start
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+    return list(zip(outcomes, seconds))  # type: ignore[arg-type]
+
+
+def _kernel_key(config: RunConfig, routing: RoutingFunction) -> tuple | None:
+    """What the points of one batch kernel must share, or None for a point
+    that runs alone.
+
+    A batch steps one routing instance (and so one topology and rule) at
+    one buffer depth, selection, buffer discipline and watchdog.  Only
+    plain vector points batch: an observed (metrics, trace) or faulted
+    point needs a simulator of its own.
+    """
+    selection = spec_token("selection", config.selection)
+    if (
+        config.backend != "vector"
+        or selection is None
+        or config.trace
+        or config.metrics not in (None, False)
+        or config.faults is not None
+        or config.recovery is not None
+    ):
+        return None
+    return (id(routing), config.buffer_depth, selection, config.atomic_buffers, config.watchdog)
+
+
+def _traffic(topology: Topology, config: RunConfig) -> "object":
+    """A point's traffic: its workload trace, or its Bernoulli generator."""
+    if config.workload is not None:
+        # Traced mode: the workload's own deterministic schedule replaces
+        # the Bernoulli injection process (lazy import — chaos depends on
+        # sim, so the reverse edge must not exist at module level).
+        from repro.chaos.workloads import resolve_workload
+
+        return resolve_workload(config.workload).materialize(topology, config.cycles)
+    return TrafficGenerator(
+        topology,
+        TrafficConfig(
+            injection_rate=config.injection_rate,
+            packet_length=config.packet_length,
+            pattern=resolve_pattern(config.pattern),
+            seed=config.seed + 7919,
+        ),
+    )
+
+
+def _run_alone(network: tuple, config: RunConfig) -> RunResult:
+    """One point on its own simulator."""
+    topology, routing, rule = network
     routing_factory = config.routing_factory
     if isinstance(routing_factory, str):
         routing_factory = resolve_routing_factory(routing_factory)
@@ -200,26 +303,7 @@ def run_point(
         recovery=config.recovery,
         routing_factory=routing_factory,
     )
-    if config.workload is not None:
-        # Traced mode: the workload's own deterministic schedule replaces
-        # the Bernoulli injection process (lazy import — chaos depends on
-        # sim, so the reverse edge must not exist at module level).
-        from repro.chaos.workloads import resolve_workload
-
-        traffic: "object" = resolve_workload(config.workload).materialize(
-            topology, config.cycles
-        )
-    else:
-        traffic = TrafficGenerator(
-            topology,
-            TrafficConfig(
-                injection_rate=config.injection_rate,
-                packet_length=config.packet_length,
-                pattern=resolve_pattern(config.pattern),
-                seed=config.seed + 7919,
-            ),
-        )
-    stats = sim.run(config.cycles, traffic, drain=config.drain)
+    stats = sim.run(config.cycles, _traffic(topology, config), drain=config.drain)
     if collector is not None:
         collector.finalize()
     return RunResult(
@@ -227,6 +311,37 @@ def run_point(
         metrics=collector, trace=tracer,
         reroute_verdict=getattr(sim, "last_reroute_verdict", None),
     )
+
+
+def _run_batched(network: tuple, configs: list[RunConfig]) -> list[RunResult | Exception]:
+    """Points of one :func:`_kernel_key` as the replicas of one vector
+    kernel: each point's result, or the error it raised."""
+    from repro.sim.vector import run_batch
+
+    topology, routing, rule = network
+    outcomes: list = []
+    for config in configs:
+        try:
+            outcomes.append(_traffic(topology, config))
+        except EbdaError as exc:  # this point's error, raised in its turn
+            outcomes.append(exc)
+    live = [k for k, traffic in enumerate(outcomes) if not isinstance(traffic, Exception)]
+    head = configs[0]
+    stats = run_batch(
+        topology, routing, rule,
+        [(configs[k].cycles, outcomes[k]) for k in live],
+        drain=[configs[k].drain for k in live],
+        buffer_depth=head.buffer_depth,
+        selection=resolve_selection(head.selection),
+        atomic_buffers=head.atomic_buffers,
+        watchdog=head.watchdog,
+    )
+    for k, got in zip(live, stats):
+        outcomes[k] = (
+            got if isinstance(got, Exception)
+            else RunResult(routing.name, configs[k], got, len(topology.nodes))
+        )
+    return outcomes
 
 
 def sweep_rates(

@@ -4,7 +4,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import floor
-from statistics import mean
+from typing import Sequence
+
+
+def _mean(values: Sequence[int]) -> float:
+    """``statistics.mean`` of integers, by integer sum: NaN when empty, an
+    ``int`` when the mean is integral (``_mean([1, 3]) == 2``), else the
+    correctly rounded ``float`` — exactly what ``statistics.mean`` returns,
+    without its Fraction arithmetic."""
+    if not values:
+        return float("nan")
+    total = sum(values)
+    n = len(values)
+    return total // n if total % n == 0 else total / n
+
+
+def _percentile(ordered: Sequence[int], q: float) -> float:
+    """The q-th percentile of already sorted values (see
+    :meth:`SimStats.latency_percentile`); NaN when empty."""
+    if not ordered:
+        return float("nan")
+    rank = min(max(q, 0.0), 100.0) / 100 * (len(ordered) - 1)
+    lo = floor(rank)
+    frac = rank - lo
+    if frac == 0.0 or lo + 1 >= len(ordered):
+        return float(ordered[lo])
+    return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
 
 
 def _jsonable(value: float) -> float | None:
@@ -84,16 +109,12 @@ class SimStats:
     @property
     def avg_total_latency(self) -> float:
         """Mean creation-to-delivery latency (cycles)."""
-        if not self.latencies:
-            return float("nan")
-        return mean(t for t, _n in self.latencies)
+        return _mean([t for t, _n in self.latencies])
 
     @property
     def avg_network_latency(self) -> float:
         """Mean injection-to-delivery latency (cycles)."""
-        if not self.latencies:
-            return float("nan")
-        return mean(n for _t, n in self.latencies)
+        return _mean([n for _t, n in self.latencies])
 
     @property
     def max_total_latency(self) -> int:
@@ -110,15 +131,7 @@ class SimStats:
         :meth:`to_dict` and the metrics summaries.  NaN when no packet
         was delivered.
         """
-        if not self.latencies:
-            return float("nan")
-        values = sorted(t for t, _n in self.latencies)
-        rank = min(max(q, 0.0), 100.0) / 100 * (len(values) - 1)
-        lo = floor(rank)
-        frac = rank - lo
-        if frac == 0.0 or lo + 1 >= len(values):
-            return float(values[lo])
-        return values[lo] + frac * (values[lo + 1] - values[lo])
+        return _percentile(sorted(t for t, _n in self.latencies), q)
 
     def throughput(self, n_nodes: int) -> float:
         """Delivered flits per node per cycle."""
@@ -141,9 +154,7 @@ class SimStats:
     @property
     def avg_recovery_latency(self) -> float:
         """Mean cycles from a packet's first abort to its final delivery."""
-        if not self.recovery_latencies:
-            return float("nan")
-        return mean(self.recovery_latencies)
+        return _mean(self.recovery_latencies)
 
     def to_dict(self) -> dict:
         """JSON-safe dict with every counter (the result-cache format).
@@ -154,12 +165,14 @@ class SimStats:
         read exports without this class; empty-latency runs serialize
         them as ``null``, never the invalid-JSON ``NaN``.
         """
+        totals = [t for t, _n in self.latencies]
+        ordered = sorted(totals)
         return {
-            "avg_total_latency": _jsonable(self.avg_total_latency),
+            "avg_total_latency": _jsonable(_mean(totals)),
             "avg_network_latency": _jsonable(self.avg_network_latency),
-            "p50_latency": _jsonable(self.latency_percentile(50)),
-            "p95_latency": _jsonable(self.latency_percentile(95)),
-            "p99_latency": _jsonable(self.latency_percentile(99)),
+            "p50_latency": _jsonable(_percentile(ordered, 50)),
+            "p95_latency": _jsonable(_percentile(ordered, 95)),
+            "p99_latency": _jsonable(_percentile(ordered, 99)),
             "avg_recovery_latency": _jsonable(self.avg_recovery_latency),
             "delivery_ratio": _jsonable(self.delivery_ratio),
             "cycles": self.cycles,

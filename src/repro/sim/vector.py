@@ -98,17 +98,18 @@ and multicast waypoints are not implemented — requesting them raises
 :class:`~repro.errors.ConfigError` up front (see
 :func:`repro.sim.backend.backends` for the capability table).
 
-Each replica of a batch keeps its own traffic, cycle limit,
+Each replica of a batch keeps its own traffic, cycle limit, drain flag,
 :class:`~repro.sim.stats.SimStats`, stall counter and watchdog.  It stops
-at its cycle limit, when its watchdog fires, or when it raises
+at its cycle limit — or, draining, once idle or at its drain limit — when
+its watchdog fires, or when it raises
 :class:`~repro.errors.RoutingError` / :class:`~repro.errors.SimulationError`
 (a routing dead-end stops only the replica that hit it).  A stopped
 replica is *parked*: its buffers and queues are emptied, so it takes no
 further part in any phase, its stats never change again and it never
-raises.  A lone :class:`VectorSimulator` is never parked at its cycle
-limit or watchdog, so it can drain or keep stepping, as the reference
-can; its errors propagate from :meth:`~VectorSimulator.step` and
-:meth:`~VectorSimulator.run`.
+raises.  A lone :class:`VectorSimulator` drains through the same step
+loop as a batch, and is never parked at its cycle limit or watchdog, so
+it can keep stepping, as the reference can; its errors propagate from
+:meth:`~VectorSimulator.step` and :meth:`~VectorSimulator.run`.
 """
 
 from __future__ import annotations
@@ -929,22 +930,45 @@ class VectorSimulator:
 
     # -- driving loop ----------------------------------------------------------------
 
-    def _drive(self, limits: Sequence[int], traffics: Sequence) -> None:
-        """Step the running replicas until each reaches its cycle limit,
-        its watchdog fires or it raises.
+    def _drive(
+        self,
+        limits: Sequence[int],
+        traffics: Sequence,
+        drains: Sequence[bool] = (),
+        drain_limit: int = 100_000,
+    ) -> None:
+        """Step the running replicas until each stops.
 
-        A replica that stops while others still step is parked; the last
-        one is left as it is, so a lone simulator can drain afterwards.
+        A replica steps with its traffic until its cycle limit.  Then, if
+        ``drains[r]`` is set, it keeps stepping with no new traffic while
+        it is not idle, for at most ``drain_limit`` cycles.  It stops
+        earlier when its watchdog fires or it raises — the stopping rules
+        of a solo :meth:`run`.  A replica that stops while others still
+        step is parked; the last one is left as it is, so a lone
+        simulator can keep stepping afterwards.
         """
         stats = self._stats
         errors = self._errors
-        live = [r for r in self._running if self.cycle < limits[r]]
+        #: Drain cycles stepped so far, per replica that drains.
+        extra = {r: 0 for r, drain in enumerate(drains) if drain}
+
+        def steps_on(r: int) -> bool:
+            if errors[r] is not None or stats[r].deadlocked:
+                return False
+            if self.cycle < limits[r]:
+                return True
+            return r in extra and extra[r] < drain_limit and self._network_active(r)
+
+        live = [r for r in self._running if steps_on(r)]
         while live:
             if len(live) < len(self._running):
                 for r in [r for r in self._running if r not in live]:
                     self._park(r)
             cycle = self.cycle
             for r in live:
+                if cycle >= limits[r]:
+                    extra[r] += 1
+                    continue
                 traffic = traffics[r]
                 if not traffic:
                     continue
@@ -956,15 +980,10 @@ class VectorSimulator:
             if not self._running:  # every live replica failed on its traffic
                 break
             self._advance()
+            cycle = self.cycle
             for r in live:
-                if errors[r] is not None or stats[r].deadlocked or self.cycle >= limits[r]:
-                    live = [
-                        r
-                        for r in live
-                        if errors[r] is None
-                        and not stats[r].deadlocked
-                        and self.cycle < limits[r]
-                    ]
+                if errors[r] is not None or stats[r].deadlocked or cycle >= limits[r]:
+                    live = [r for r in live if steps_on(r)]
                     break
 
     def run(
@@ -989,16 +1008,9 @@ class VectorSimulator:
                 "raise_on_deadlock=True (the wait-for witness needs the"
                 " reference object graph)"
             )
-        self._drive([self.cycle + cycles], [traffic])
+        self._drive([self.cycle + cycles], [traffic], [drain], drain_limit)
         if self._errors[0] is not None:
             raise self._errors[0]
-        if drain and not self.stats.deadlocked:
-            extra = 0
-            while not self.is_idle() and extra < drain_limit:
-                self.step()
-                extra += 1
-                if self.stats.deadlocked:
-                    break
         return self.stats
 
 
@@ -1015,25 +1027,30 @@ def run_batch(
     routing: RoutingFunction,
     rule: ClassRule,
     runs: Sequence[tuple[int, object]],
+    *,
+    drain: Sequence[bool] = (),
     **sim_kwargs,
 ) -> list[SimStats | Exception]:
     """Run several traffics on one network in one kernel step loop.
 
-    ``runs`` is a sequence of ``(cycles, traffic)``; ``sim_kwargs`` are
-    :class:`VectorSimulator`'s keyword options, shared by every run.
-    Returns, per run and in order, its :class:`~repro.sim.stats.SimStats`
-    — bit-identical to a solo ``VectorSimulator(...).run(cycles,
-    traffic)`` — or the :class:`~repro.errors.RoutingError` /
+    ``runs`` is a sequence of ``(cycles, traffic)``; ``drain`` flags, per
+    run, whether it drains after its cycles (runs past its end do not);
+    ``sim_kwargs`` are :class:`VectorSimulator`'s keyword options, shared
+    by every run.  Returns, per run and in order, its
+    :class:`~repro.sim.stats.SimStats` — bit-identical to a solo
+    ``VectorSimulator(...).run(cycles, traffic, drain=...)`` — or the
+    :class:`~repro.errors.RoutingError` /
     :class:`~repro.errors.SimulationError` that run raised.  A run stops
-    at its cycle limit or when its watchdog fires.  Configurations
-    outside the kernel's scope raise :class:`~repro.errors.ConfigError`
-    before any run starts.
+    at its cycle limit (or, draining, once idle or at the solo drain
+    limit) or when its watchdog fires.  Configurations outside the
+    kernel's scope raise :class:`~repro.errors.ConfigError` before any
+    run starts.
     """
     runs = list(runs)
     if not runs:
         return []
     kernel = _Batch(len(runs), topology, routing, rule, **sim_kwargs)
-    kernel._drive([cycles for cycles, _ in runs], [traffic for _, traffic in runs])
+    kernel._drive([cycles for cycles, _ in runs], [traffic for _, traffic in runs], drain)
     return [
         stats if error is None else error
         for stats, error in zip(kernel._stats, kernel._errors)

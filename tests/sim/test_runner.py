@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import EbdaError, SimulationError
 from repro.routing import MinimalFullyAdaptive, xy_routing
 from repro.sim import (
     RunConfig,
     compare_table,
     run_point,
+    run_points,
     saturation_rate,
     sweep_rates,
 )
@@ -35,6 +36,36 @@ class TestRunPoint:
         b = run_point(mesh4, xy_routing(mesh4), cfg)
         assert a.stats.packets_injected == b.stats.packets_injected
         assert a.stats.latencies == b.stats.latencies
+
+
+class TestRunPoints:
+    def test_results_match_run_point_in_config_order(self, mesh4):
+        base = RunConfig(cycles=200, backend="vector", seed=3)
+        configs = [
+            base.with_rate(0.1),
+            replace(base, backend="reference", injection_rate=0.05),
+            base.with_rate(0.02),
+            replace(base, injection_rate=0.05, buffer_depth=2),
+        ]
+        results = run_points(mesh4, "xy", configs)
+        assert [r.config for r, _seconds in results] == configs
+        for config, (result, seconds) in zip(configs, results):
+            assert result.stats == run_point(mesh4, "xy", config).stats
+            assert seconds > 0
+        # The two 4-deep vector points were one batch: equal shares.
+        assert results[0][1] == results[2][1]
+
+    def test_first_failing_point_raises(self, mesh4):
+        base = RunConfig(cycles=50, backend="vector")
+        configs = [
+            base,
+            replace(base, backend="reference", pattern="no-such-pattern-a"),
+            replace(base, pattern="no-such-pattern-b"),
+        ]
+        with pytest.raises(EbdaError, match="no-such-pattern-a"):
+            run_points(mesh4, "xy", configs)
+        with pytest.raises(EbdaError, match="no-such-pattern-b"):
+            run_points(mesh4, "xy", [base, configs[2]])
 
 
 class TestCycleRange:

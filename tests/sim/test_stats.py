@@ -1,8 +1,11 @@
 """Unit tests for simulation statistics."""
 
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimStats
 
@@ -136,3 +139,66 @@ class TestSimStats:
         assert "faults=2" in text
         assert "recovered=1" in text
         assert "lost=3" in text
+
+
+def _statistics_derived(stats: SimStats) -> dict:
+    """The derived latency fields as ``statistics.mean`` and one sort per
+    percentile computed them."""
+    from statistics import mean
+
+    def percentile(q):
+        values = sorted(t for t, _n in stats.latencies)
+        rank = q / 100 * (len(values) - 1)
+        lo = math.floor(rank)
+        frac = rank - lo
+        if frac == 0.0 or lo + 1 >= len(values):
+            return float(values[lo])
+        return values[lo] + frac * (values[lo + 1] - values[lo])
+
+    def nan_to_none(compute, values):
+        return compute(values) if values else None
+
+    return {
+        "avg_total_latency": nan_to_none(mean, [t for t, _n in stats.latencies]),
+        "avg_network_latency": nan_to_none(mean, [n for _t, n in stats.latencies]),
+        "p50_latency": nan_to_none(lambda _v: percentile(50), stats.latencies),
+        "p95_latency": nan_to_none(lambda _v: percentile(95), stats.latencies),
+        "p99_latency": nan_to_none(lambda _v: percentile(99), stats.latencies),
+        "avg_recovery_latency": nan_to_none(mean, stats.recovery_latencies),
+    }
+
+
+class TestToDictMatchesStatistics:
+    """``to_dict`` sums integers and sorts once, yet serialises exactly what
+    ``statistics.mean`` and per-percentile sorting gave: an integral mean
+    stays an ``int`` (``2``, not ``2.0``), so cache bytes are unchanged."""
+
+    @given(
+        latencies=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40
+        ),
+        recovery=st.lists(st.integers(0, 10**6), max_size=10),
+    )
+    @example(latencies=[], recovery=[])
+    @example(latencies=[(7, 5)], recovery=[9])
+    @example(latencies=[(1, 1), (3, 2)], recovery=[1, 3])
+    @example(latencies=[(1, 2), (2, 2), (2, 5)], recovery=[1, 2])
+    @settings(max_examples=200, deadline=None)
+    def test_derived_fields(self, latencies, recovery):
+        stats = SimStats(latencies=latencies, recovery_latencies=recovery)
+        got = stats.to_dict()
+        want = _statistics_derived(stats)
+        for key, value in want.items():
+            assert type(got[key]) is type(value), key
+            assert got[key] == value, key
+        assert json.dumps(got) == json.dumps({**got, **want})
+        if latencies:
+            mean_total = stats.avg_total_latency
+            assert type(mean_total) is type(want["avg_total_latency"])
+            assert mean_total == want["avg_total_latency"]
+
+    def test_integral_mean_serialises_as_an_int(self):
+        stats = SimStats(latencies=[(1, 1), (3, 2)])
+        assert stats.avg_total_latency == 2 and type(stats.avg_total_latency) is int
+        assert json.dumps(stats.to_dict()["avg_total_latency"]) == "2"
+        assert stats.to_dict()["avg_network_latency"] == 1.5

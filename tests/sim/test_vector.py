@@ -7,6 +7,8 @@ cycle.
 """
 
 import ast
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,13 +27,14 @@ from repro.core.torus_designs import dateline_design
 from repro.sim import (
     NetworkSimulator,
     RunConfig,
+    SweepEngine,
     TrafficConfig,
     TrafficGenerator,
     VectorSimulator,
     run_point,
 )
-from repro.sim.specs import resolve_routing_factory
-from repro.sim.vector import run_batch
+from repro.sim.specs import NAMED_ROUTING_FACTORIES, resolve_routing_factory
+from repro.sim.vector import _Batch, run_batch
 from repro.topology import Mesh, Torus
 from repro.topology.classes import NAMED_RULES, no_classes, rule_for_design
 
@@ -164,24 +167,29 @@ def _outcome(run):
         return f"{type(exc).__name__}: {exc}"
 
 
-def batch_vs_solo(topology, routing, rule, runs, **sim_kwargs):
+def batch_vs_solo(topology, routing, rule, runs, *, drain=(), **sim_kwargs):
     """Each run of one batch, its solo vector run and its reference run.
 
-    ``runs`` holds ``(cycles, make_traffic)``; returns one (batch, solo,
+    ``runs`` holds ``(cycles, make_traffic)`` and ``drain`` a drain flag
+    per run (missing flags are False); returns one (batch, solo,
     reference) triple per run, each a stats dict or the error raised.
     """
     batch = run_batch(
         topology, routing, rule,
-        [(cycles, make()) for cycles, make in runs], **sim_kwargs,
+        [(cycles, make()) for cycles, make in runs],
+        drain=drain, **sim_kwargs,
     )
+    flags = list(drain) + [False] * (len(runs) - len(drain))
     triples = []
-    for (cycles, make), got in zip(runs, batch):
+    for (cycles, make), drains, got in zip(runs, flags, batch):
         if isinstance(got, Exception):
             got = f"{type(got).__name__}: {got}"
         else:
             got = got.to_dict()
         solo, ref = (
-            _outcome(lambda: cls(topology, routing, rule, **sim_kwargs).run(cycles, make()))
+            _outcome(lambda: cls(topology, routing, rule, **sim_kwargs).run(
+                cycles, make(), drain=drains
+            ))
             for cls in (VectorSimulator, NetworkSimulator)
         )
         triples.append((got, solo, ref))
@@ -277,6 +285,66 @@ class TestBatchParity:
         assert live == twin == triples[0][2]
         assert live["cycles"] == 400
 
+    def test_saturated_replicas_drain_beside_live_ones(self, mesh4):
+        # At 0.3 the 4x4 mesh saturates: its drain runs far past the
+        # cycle limit, while the other replicas stop or drain early.
+        routing = xy_routing(mesh4)
+        runs = [(200, _bernoulli(mesh4, rate, seed))
+                for rate, seed in ((0.3, 1), (0.05, 2), (0.3, 3), (0.3, 1))]
+        triples = batch_vs_solo(
+            mesh4, routing, no_classes, runs, drain=(True, True, False, True)
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+        saturated, light, undrained, _twin = (got for got, _, _ in triples)
+        assert saturated["cycles"] > light["cycles"] > 200
+        assert saturated["packets_delivered"] == saturated["packets_injected"]
+        assert undrained["cycles"] == 200
+        assert undrained["packets_delivered"] < undrained["packets_injected"]
+        assert triples[3][0] == saturated
+
+    def test_drain_limit_stops_each_replica(self, mesh4):
+        # ``run_batch`` drains to the solo default limit; the limit itself
+        # is ``_drive``'s, so drive a kernel with a short one directly.
+        routing = xy_routing(mesh4)
+        makes = [_bernoulli(mesh4, 0.3, seed) for seed in (1, 2)]
+        kernel = _Batch(len(makes), mesh4, routing, no_classes)
+        kernel._drive([200, 200], [make() for make in makes], [True, True], drain_limit=7)
+        assert kernel._errors == [None, None]
+        for make, got in zip(makes, kernel._stats):
+            solo, ref = (
+                cls(mesh4, routing, no_classes).run(200, make(), drain=True, drain_limit=7)
+                for cls in (VectorSimulator, NetworkSimulator)
+            )
+            assert got.to_dict() == solo.to_dict() == ref.to_dict()
+            assert got.cycles == 207
+
+    def test_deadlocked_replica_with_drain(self):
+        topology, routing, rule = _witness_network("fuzz-720dd5f1c346")
+        runs = [(400, _bernoulli(topology, rate, seed))
+                for rate, seed in ((0.3, 1), (0.3, 0), (0.05, 0))]
+        triples = batch_vs_solo(
+            topology, routing, rule, runs, drain=(True, True, True),
+            watchdog=150, buffer_depth=2,
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+        assert [got["deadlocked"] for got, _, _ in triples] == [False, True, False]
+        assert triples[1][0]["cycles"] == triples[1][0]["deadlock_declared_at"] < 400
+
+    def test_zero_cycles_with_drain(self, mesh4):
+        routing = TurnTableRouting(mesh4, catalog.p3_west_first())
+        runs = [(cycles, _bernoulli(mesh4, 0.1, seed))
+                for seed, cycles in enumerate((0, 0, 150))]
+        triples = batch_vs_solo(
+            mesh4, routing, no_classes, runs, drain=(True, False, True)
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+        assert [got["cycles"] for got, _, _ in triples[:2]] == [0, 0]
+        assert triples[0][0]["packets_injected"] == 0
+        assert triples[2][0]["cycles"] > 150
+
     def test_empty_batch_and_out_of_scope_config(self, mesh4):
         assert run_batch(mesh4, xy_routing(mesh4), no_classes, []) == []
         with pytest.raises(ConfigError, match="selection"):
@@ -284,6 +352,64 @@ class TestBatchParity:
                 mesh4, xy_routing(mesh4), no_classes,
                 [(10, _bernoulli(mesh4, 0.1, 0)())], selection=object(),
             )
+
+
+class TestSweepBatches:
+    """A sweep's vector misses on one network run as one batch kernel and
+    give what running the points one by one gives."""
+
+    RATES = (0.02, 0.08, 0.2)
+
+    @pytest.mark.parametrize("routing", ["west-first-vcs", "negative-first"])
+    def test_sweep_matches_its_points(self, routing, tmp_path):
+        topology = Mesh(6, 6)
+        config = RunConfig(cycles=300, seed=4, backend="vector")
+        swept = SweepEngine(cache=tmp_path / "sweep").sweep(
+            topology, routing, self.RATES, config
+        )
+        alone = SweepEngine(cache=tmp_path / "points")
+        for rate, point in zip(self.RATES, swept.points):
+            assert not point.cached
+            got = point.result.stats.to_dict()
+            for backend in ("reference", "vector"):
+                solo = run_point(
+                    topology, routing, replace(config.with_rate(rate), backend=backend)
+                )
+                assert got == solo.stats.to_dict()
+            alone.run_point(topology, routing, config.with_rate(rate))
+        # The 0.2 point saturates and drains past its cycle limit.
+        assert swept.results[-1].stats.cycles > config.cycles
+
+        def entries(directory):
+            return {
+                path.name: {k: v for k, v in json.loads(path.read_text()).items()
+                            if k != "wall_time"}
+                for path in directory.glob("*.json")
+            }
+
+        assert len(entries(tmp_path / "sweep")) == len(self.RATES)
+        assert entries(tmp_path / "sweep") == entries(tmp_path / "points")
+        shares = {round(point.wall_time, 12) for point in swept.points}
+        assert len(shares) == 1  # each point's equal share of the batch
+
+    def test_dead_end_raises_the_serial_error(self, monkeypatch):
+        topology, routing, rule = _witness_network("fuzz-4df2a24b2051")
+        monkeypatch.setitem(NAMED_ROUTING_FACTORIES, "sweep-dead-end", lambda t: routing)
+        config = RunConfig(cycles=60, seed=5, watchdog=150, buffer_depth=2, backend="vector")
+        rates = (0.01, 0.02, 0.05)
+        serial = []
+        for rate in rates:
+            try:
+                run_point(topology, "sweep-dead-end", config.with_rate(rate), rule)
+                serial.append(None)
+            except RoutingError as exc:
+                serial.append(str(exc))
+        # The first point runs; the other two dead-end, at different packets.
+        assert serial[0] is None and None not in serial[1:]
+        assert serial[1] != serial[2]
+        with pytest.raises(RoutingError) as info:
+            SweepEngine().sweep(topology, "sweep-dead-end", rates, config, rule)
+        assert str(info.value) == serial[1]
 
 
 class TestOneKernel:

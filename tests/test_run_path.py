@@ -1,10 +1,11 @@
 """One run path for simulation points.
 
-``repro.sim.runner.run_point`` is the only code that turns a ``RunConfig``
-into a simulator, and ``SweepEngine.run_many`` the only code that looks
-points up, runs them and stores them.  Observing a point (metrics, a
-trace) therefore never changes its result or its ledger identity, and the
-CLI gives the same stats as the library.
+``repro.sim.runner.run_points`` (and ``run_point``, its one-config case)
+is the only code that turns a ``RunConfig`` into a simulator, and
+``SweepEngine.run_many`` the only code that looks points up, runs them and
+stores them.  Observing a point (metrics, a trace) therefore never changes
+its result or its ledger identity, and the CLI gives the same stats as the
+library.
 """
 
 import ast
@@ -206,3 +207,24 @@ class TestStructure:
         SweepEngine(jobs=1).sweep(Mesh(4, 4), "run-path-counting", (0.02, 0.04), config)
         repro.run_point(Mesh(4, 4), "run-path-counting", config)
         assert len(built) == 1
+
+    def test_a_vector_sweep_on_one_spec_builds_one_kernel(self, monkeypatch):
+        from repro.routing import xy_routing
+        from repro.sim import SweepEngine, VectorSimulator
+
+        built = []
+        init = VectorSimulator.__init__
+
+        def counting(sim, *args, **kwargs):
+            built.append(sim._replicas)
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(VectorSimulator, "__init__", counting)
+        config = RunConfig(cycles=100, seed=2, backend="vector")
+        rates = (0.02, 0.04, 0.06, 0.08)
+        SweepEngine(jobs=1).sweep(Mesh(4, 4), "negative-first", rates, config)
+        assert built == [len(rates)]
+        # A tokenless factory builds a routing per point: nothing to share.
+        built.clear()
+        SweepEngine(jobs=1).sweep(Mesh(4, 4), lambda t: xy_routing(t), rates, config)
+        assert built == [1] * len(rates)
