@@ -37,13 +37,11 @@ property the four-way differential fuzz gate checks on every trial.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
-from itertools import product
 
 from repro.analyze.diagnostics import Diagnostic, Location, Severity, register_rule
 from repro.analyze.rings import unbroken_rings
-from repro.analyze.unit import DesignUnit
+from repro.analyze.unit import DesignUnit, Direction, requirement_sets
 from repro.cdg.cycles import strongly_connected_components
 from repro.core.channel import NEG, POS, Channel, dim_name
 from repro.core.minimal import min_channels
@@ -62,10 +60,6 @@ __all__ = ["THEOREM_MIRROR_RULES"]
 #: error from any of these must coincide exactly with a theorem-oracle
 #: rejection (checked by the differential fuzzer on every trial).
 THEOREM_MIRROR_RULES = ("EBDA001", "EBDA002", "EBDA003", "EBDA004", "EBDA005")
-
-#: A movement direction: (dimension index, sign).
-Direction = tuple[int, int]
-
 
 def _dir_name(d: Direction) -> str:
     return f"{dim_name(d[0])}{'+' if d[1] == POS else '-'}"
@@ -298,53 +292,6 @@ def ebda007(unit: DesignUnit) -> Iterator[Diagnostic]:
 # EBDA008/EBDA010: class-level routability
 # ---------------------------------------------------------------------------
 
-def _route_satisfiable(
-    unit: DesignUnit, need: frozenset[Direction], start: Channel | None
-) -> bool:
-    """Can some turn-closed channel walk serve every direction in ``need``?
-
-    BFS over (remaining requirements, current channel) states.  A move
-    either consumes a required direction by hopping onto a channel that
-    provides it (injection and straight-through are free, anything else
-    needs an allowed turn), or switches between same-direction channels
-    (I-turns — how dateline designs change class mid-dimension).  This is
-    the class-level abstraction of minimal routing: sound for class-free
-    designs, conservative-by-construction with spatial classes.
-    """
-    state = (need, start)
-    seen: set[tuple[frozenset[Direction], Channel | None]] = {state}
-    queue: deque[tuple[frozenset[Direction], Channel | None]] = deque([state])
-    while queue:
-        remaining, cur = queue.popleft()
-        if not remaining:
-            return True
-        nxt: list[tuple[frozenset[Direction], Channel | None]] = []
-        for d in remaining:
-            for ch in unit.channels_of_direction(*d):
-                if unit.step_allowed(cur, ch):
-                    nxt.append((remaining - {d}, ch))
-        if cur is not None:
-            for ch in unit.channels_of_direction(cur.dim, cur.sign):
-                if ch != cur and unit.turnset.allows(cur, ch):
-                    nxt.append((remaining, ch))
-        for s in nxt:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return False
-
-
-def _requirement_sets(dims: tuple[int, ...]) -> Iterator[frozenset[Direction]]:
-    """Every minimal-routing requirement: <=1 direction per dimension."""
-    choices: list[tuple[Direction | None, ...]] = [
-        ((d, POS), (d, NEG), None) for d in dims
-    ]
-    for combo in product(*choices):
-        s = frozenset(c for c in combo if c is not None)
-        if s:
-            yield s
-
-
 @register_rule(
     "EBDA008",
     "static unroutability",
@@ -387,12 +334,12 @@ def ebda008(unit: DesignUnit) -> Iterator[Diagnostic]:
     if missing:
         return
     failed: list[frozenset[Direction]] = []
-    for need in sorted(_requirement_sets(unit.dims), key=lambda s: (len(s), _dir_names(s))):
+    for need in sorted(requirement_sets(unit.dims), key=lambda s: (len(s), _dir_names(s))):
         if topo_dirs is not None and not need <= topo_dirs:
             continue
         if any(f <= need for f in failed):
             continue
-        if not _route_satisfiable(unit, need, None):
+        if None not in unit.completions[need]:
             failed.append(need)
             yield Diagnostic(
                 "EBDA008",
@@ -474,16 +421,16 @@ def ebda010(unit: DesignUnit) -> Iterator[Diagnostic]:
             continue
         reported = False
         for need in sorted(
-            _requirement_sets(other_dims), key=lambda s: (len(s), _dir_names(s))
+            requirement_sets(other_dims), key=lambda s: (len(s), _dir_names(s))
         ):
             if reported:
                 break
             if not all(d in unit.directions for d in need):
                 continue
             full = need | {(ch.dim, ch.sign)}
-            if not _route_satisfiable(unit, full, None):
+            if None not in unit.completions[full]:
                 continue  # globally unroutable: EBDA008's business
-            if not _route_satisfiable(unit, need, ch):
+            if ch not in unit.completions[need]:
                 reported = True
                 yield Diagnostic(
                     "EBDA010",

@@ -13,13 +13,14 @@ which is O(links) to enumerate.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from typing import Protocol, runtime_checkable
 
 from repro.core.catalog import design as catalog_design
-from repro.core.channel import Channel
+from repro.core.channel import NEG, POS, Channel
 from repro.core.extraction import extract_turns
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
@@ -30,7 +31,17 @@ from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.mesh import Mesh
 
-__all__ = ["NATIVE_LINT", "DesignUnit", "TableProtocol", "default_lint_unit"]
+__all__ = [
+    "NATIVE_LINT",
+    "DesignUnit",
+    "Direction",
+    "TableProtocol",
+    "default_lint_unit",
+    "requirement_sets",
+]
+
+#: A movement direction: (dimension index, sign).
+Direction = tuple[int, int]
 
 #: Beyond-mesh catalog designs lint on their native topologies: design
 #: name -> (topology factory, rule IDs to ignore).  The dragonfly pair
@@ -42,6 +53,17 @@ NATIVE_LINT: dict[str, tuple[Callable[[], Topology], tuple[str, ...]]] = {
     "dragonfly-valiant": (lambda: Dragonfly(4), ("EBDA005",)),
     "fattree-updown": (lambda: FatTree(4, 2, 2), ()),
 }
+
+
+def requirement_sets(dims: tuple[int, ...]) -> Iterator[frozenset[Direction]]:
+    """Every nonempty minimal-routing requirement: <=1 direction per dimension."""
+    choices: list[tuple[Direction | None, ...]] = [
+        ((d, POS), (d, NEG), None) for d in dims
+    ]
+    for combo in product(*choices):
+        s = frozenset(c for c in combo if c is not None)
+        if s:
+            yield s
 
 
 @runtime_checkable
@@ -152,6 +174,55 @@ class DesignUnit:
     def channels_of_direction(self, dim: int, sign: int) -> tuple[Channel, ...]:
         """All channel classes providing movement along (dim, sign)."""
         return tuple(ch for ch in self.channels if ch.dim == dim and ch.sign == sign)
+
+    @cached_property
+    def completions(self) -> dict[frozenset[Direction], frozenset[Channel | None]]:
+        """Where a turn-closed channel walk can serve each requirement set.
+
+        Keys are the requirement sets of minimal routing: at most one
+        (dim, sign) direction per dimension of :attr:`dims` (the empty set
+        included).  Each value holds the channels from which some walk
+        serves every direction of the set; ``None`` stands for "at
+        injection".  A walk consumes a required direction by stepping onto
+        a channel that provides it (:meth:`step_allowed`: injection, going
+        straight or an allowed turn), or switches between channels of one
+        direction by an allowed I-turn (how dateline designs change class
+        mid-dimension).  This is the class-level abstraction of minimal
+        routing EBDA008/EBDA010 judge connectivity by.
+
+        Built bottom-up by set size: a channel wins ``R`` if it may step
+        onto a channel of some ``d`` in ``R`` that wins ``R - {d}``; ``R``
+        is then closed under I-turns into winning channels.
+        """
+        chans = self.channels
+        by_dir: dict[Direction, list[Channel]] = {}
+        for ch in chans:
+            by_dir.setdefault((ch.dim, ch.sign), []).append(ch)
+        # Once per unit: the channels each channel may step onto, and the
+        # other channels of its direction that I-turn onto it.
+        succ = {a: frozenset(b for b in chans if self.step_allowed(a, b)) for a in chans}
+        i_preds = {
+            b: tuple(
+                a for a in by_dir[b.dim, b.sign] if a != b and self.turnset.allows(a, b)
+            )
+            for b in chans
+        }
+        table: dict[frozenset[Direction], frozenset[Channel | None]] = {
+            frozenset(): frozenset((*chans, None))
+        }
+        for need in sorted(requirement_sets(self.dims), key=len):
+            targets = {
+                ch for d in need for ch in by_dir.get(d, ()) if ch in table[need - {d}]
+            }
+            stack = [a for a in chans if not succ[a].isdisjoint(targets)]
+            won: set[Channel | None] = {None, *stack} if targets else set()
+            while stack:
+                for a in i_preds[stack.pop()]:
+                    if a not in won:
+                        won.add(a)
+                        stack.append(a)
+            table[need] = frozenset(won)
+        return table
 
     def step_allowed(self, src: Channel | None, dst: Channel) -> bool:
         """May a packet hop onto ``dst`` coming from ``src``?

@@ -98,7 +98,7 @@ def dependency_relation_from_turns(
     classes = tuple(channel_classes) if channel_classes is not None else tuple(turnset.channels())
     # Sorted once: outgoing lists fill in sorted order, so every filtered
     # successor tuple is already sorted.
-    order = sorted(wires_for(topology, classes, rule))
+    order = sorted(wires_for(topology, classes, rule), key=Wire.order_key)
     outgoing: dict[Coord, list[Wire]] = {}
     for wire in order:
         outgoing.setdefault(wire.src, []).append(wire)
@@ -124,7 +124,7 @@ def dependency_relation_from_routing(
     record each offered next hop as a wait edge (the semantics of
     :func:`repro.cdg.build_routing_cdg`).
     """
-    order = sorted(set(wires_for(topology, routing.channel_classes, rule)))
+    order = sorted(set(wires_for(topology, routing.channel_classes, rule)), key=Wire.order_key)
     lookup = {(w.src, w.dst, w.channel): i for i, w in enumerate(order)}
     waits: list[set[int]] = [set() for _ in order]
     nodes = sorted(topology.nodes)
@@ -213,7 +213,7 @@ def _witness_cycle(
     wire; the revisit closes the cycle.  "Min" is wire order: the core is
     sorted once and each core index replaced by its rank.
     """
-    ranked = sorted(core, key=lambda i: wires[i])
+    ranked = sorted(core, key=lambda i: wires[i].order_key())
     rank = {i: r for r, i in enumerate(ranked)}
     path = [0]
     position = {0: 0}

@@ -483,7 +483,7 @@ class MetricsCollector:
         """The ``n`` busiest wires by cumulative utilization, descending."""
         ranked = sorted(
             ((w, self.utilization_of(w)) for w in self._channels),
-            key=lambda item: (-item[1], item[0]),
+            key=lambda item: (-item[1], item[0].order_key()),
         )
         return ranked[:n]
 
@@ -503,7 +503,7 @@ class MetricsCollector:
         for name in sorted(groups):
             members = groups[name]
             utils = [u for _w, u in members]
-            hottest = sorted(members, key=lambda item: (-item[1], item[0]))[:5]
+            hottest = sorted(members, key=lambda item: (-item[1], item[0].order_key()))[:5]
             out[name] = {
                 "channels": sorted({str(w.channel) for w, _u in members}),
                 "wires": len(members),
@@ -564,7 +564,7 @@ class MetricsCollector:
                 record[name] = _finite(value) if isinstance(value, float) else value
             out.append(record)
 
-        for wire in sorted(self._channels):
+        for wire in sorted(self._channels, key=Wire.order_key):
             counters = self._channels[wire]
             series = self.channel_series.get(wire)
             out.append(

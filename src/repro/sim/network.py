@@ -186,7 +186,7 @@ class NetworkSimulator:
         #: pid -> cycle of first abort (recovery-latency accounting).
         self._abort_cycle: dict[int, int] = {}
 
-        wires = sorted(wires_for(topology, routing.channel_classes, rule))
+        wires = sorted(wires_for(topology, routing.channel_classes, rule), key=Wire.order_key)
         if not wires:
             raise SimulationError("routing channel classes instantiate no wires")
         self.wires: tuple[Wire, ...] = tuple(wires)
@@ -775,7 +775,10 @@ class NetworkSimulator:
             raise FaultError(
                 f"{why}: rerouted design is no longer deadlock-free ({verdict})"
             )
-        new_wires = sorted(wires_for(degraded, new_routing.channel_classes, self.rule))
+        new_wires = sorted(
+            wires_for(degraded, new_routing.channel_classes, self.rule),
+            key=Wire.order_key,
+        )
         if not new_wires:
             raise FaultError(f"{why}: degraded routing instantiates no wires")
         new_wire_set = set(new_wires)

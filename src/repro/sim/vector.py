@@ -190,7 +190,7 @@ class VectorSimulator:
         self.buffer_depth = buffer_depth
         self.seed = seed
 
-        wires = sorted(wires_for(topology, routing.channel_classes, rule))
+        wires = sorted(wires_for(topology, routing.channel_classes, rule), key=Wire.order_key)
         if not wires:
             raise SimulationError("routing channel classes instantiate no wires")
         #: One replica's wires, in site order.

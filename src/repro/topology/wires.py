@@ -41,6 +41,16 @@ class Wire:
     def __str__(self) -> str:
         return f"{self.channel}@{self.link.src}->{self.link.dst}"
 
+    def order_key(self) -> tuple[Coord, Coord, int, int, int, int, int, str]:
+        """The wire order as one flat tuple: ``sorted(ws, key=Wire.order_key)``.
+
+        Equals the dataclass order (the :class:`Link` fields, then the
+        :class:`Channel` fields) but compares without building nested
+        field tuples on every comparison.
+        """
+        link, ch = self.link, self.channel
+        return (link.src, link.dst, link.dim, link.sign, ch.dim, ch.sign, ch.vc, ch.cls)
+
     @property
     def src(self) -> Coord:
         return self.link.src

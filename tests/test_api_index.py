@@ -30,3 +30,23 @@ def test_generator_rejects_arguments(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="takes no arguments"):
         generator.main(["--help"])
     assert not (tmp_path / "API_INDEX.md").exists()
+
+
+def test_entries_take_the_whole_first_sentence():
+    first_sentence = _generator().first_sentence
+    doc = (
+        "Append a run to the current ledger; no-op when no\n"
+        "ledger is configured (e.g. in tests).  Later lines\n"
+        "are detail.\n\nA second paragraph."
+    )
+    assert first_sentence(doc) == (
+        "Append a run to the current ledger; no-op when no"
+        " ledger is configured (e.g. in tests)."
+    )
+    assert first_sentence("The Odd-Even model (Fig. 10b).\n\nMore.") == (
+        "The Odd-Even model (Fig. 10b)."
+    )
+    assert first_sentence("No period at all\nacross two lines") == (
+        "No period at all across two lines"
+    )
+    assert first_sentence("") == ""

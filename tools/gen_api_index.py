@@ -10,10 +10,27 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 OUT = Path(__file__).resolve().parent.parent / "docs" / "API_INDEX.md"
+
+#: Words whose period does not end a sentence.
+ABBREVIATIONS = ("e.g.", "i.e.", "etc.", "vs.", "cf.", "et al.", "Fig.", "Eq.", "Sec.")
+
+
+def first_sentence(doc: str) -> str:
+    """The first sentence of a docstring's first paragraph, on one line.
+
+    A sentence ends at ``.``, ``!`` or ``?`` followed by whitespace (or at
+    the paragraph's end), unless the period closes an abbreviation.
+    """
+    paragraph = " ".join(doc.strip().split("\n\n")[0].split())
+    for match in re.finditer(r"[.!?](?=\s|$)", paragraph):
+        if not paragraph[: match.end()].endswith(ABBREVIATIONS):
+            return paragraph[: match.end()]
+    return paragraph
 
 
 def render() -> str:
@@ -45,14 +62,14 @@ def render() -> str:
                 continue
             if getattr(obj, "__module__", None) != modinfo.name:
                 continue
-            doc = (inspect.getdoc(obj) or "").strip().split("\n")[0].rstrip(".")
+            doc = first_sentence(inspect.getdoc(obj) or "").rstrip(".")
             kind = "class" if inspect.isclass(obj) else (
                 "func" if callable(obj) else "const"
             )
             public.append((name, kind, doc))
         if not public:
             continue
-        mdoc = (inspect.getdoc(mod) or "").strip().split("\n")[0]
+        mdoc = first_sentence(inspect.getdoc(mod) or "")
         lines.append(f"## `{modinfo.name}`")
         lines.append("")
         if mdoc:
