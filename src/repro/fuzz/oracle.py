@@ -18,7 +18,19 @@ For every :class:`~repro.fuzz.design.FuzzDesign` the oracle computes:
 4. **simulation verdict** — short wormhole runs with the deadlock
    watchdog: a *crafted ring* run that parks worms along a concrete CDG
    cycle (deterministic deadlock if the cycle is real), then adversarial
-   runs (tornado/rotate90/uniform + hotspot traffic);
+   runs (tornado/rotate90/uniform + hotspot traffic).  Each run is on the
+   reference engine; with the profile's ``compare_backends`` on (the
+   default) it is replayed on the vector engine with the same traffic
+   and seeds.  A trial's adversarial runs replay together, as the
+   replicas of one :func:`~repro.sim.vector.run_batch` (one kernel step
+   loop for all of them); the crafted-ring run, with its own routing and
+   watchdog, is a batch of one.  The two engines claim cycle-exactness,
+   so any difference in the resulting
+   :meth:`~repro.sim.stats.SimStats.to_dict` — deadlock declaration
+   cycle included — or an error on one engine only is the hard
+   disagreement ``backend-divergence``.  Designs outside the vector
+   engine's scope simply skip the replay; ``backend_agree`` stays
+   ``None`` for them;
 5. **arbitrary-network verdict** — the Mendlovic-Matias existence
    condition (:mod:`repro.core.arbitrary`): sink-peeling of a wait-for
    relation rebuilt from scratch (no networkx, no shared CDG code).
@@ -34,17 +46,13 @@ continuations close global rings a minimal router never takes), and
 class-level ring checks do not model engine legality, so the wrap-ring
 closure check and topology-aware lint rules apply to table designs only.
 
-Every simulation run is additionally replayed on the vector backend
-(same traffic, same seeds) when the profile's ``compare_backends`` is
-on.  A trial's adversarial runs replay together, as the replicas of one
-:func:`~repro.sim.vector.run_batch` (one kernel step loop for all of
-them); the crafted-ring run, with its own routing and watchdog, is a
-batch of one.  The two engines claim cycle-exactness, so any difference
-in the resulting :meth:`~repro.sim.stats.SimStats.to_dict` — deadlock
-declaration cycle included — is the hard disagreement
-``backend-divergence``.  Designs outside the vector engine's scope
-(custom selections, faults) simply skip the mirror; ``backend_agree``
-stays ``None`` for them.
+Each verdict has one implementation: :meth:`DifferentialOracle.run`
+builds a design's sequence, turn set, topology, class rule and native
+routing once and judges it through the same code as the public
+``theorem_verdict``, ``static_verdict``, ``cdg_verdict`` and
+``arbitrary_verdict``.  The simulation budgets a caller may change are
+the :class:`SimProfile` fields; the fixed ones are this module's
+constants (``INJECTION_RATE``, ``CRAFTED_WATCHDOG``, ...).
 
 The theory says theorem-safe ⟹ CDG-acyclic ⟹ no simulator deadlock, so
 any edge violated in that chain is a **hard disagreement**:
@@ -81,7 +89,8 @@ from __future__ import annotations
 
 import itertools
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.analyze.engine import static_errors as _static_errors
 from repro.analyze.rings import unbroken_wrap_rings
@@ -96,9 +105,7 @@ from repro.core.arbitrary import (
     existence_verdict,
 )
 from repro.core.channel import Channel
-from repro.core.sequence import PartitionSequence
 from repro.core.theorems import audit_turns
-from repro.core.turns import TurnSet
 from repro.errors import ConfigError, EbdaError, RoutingError, SimulationError
 from repro.fuzz.design import FuzzDesign
 from repro.routing.base import Candidate, RoutingFunction
@@ -134,25 +141,28 @@ HARD_DISAGREEMENTS = (
     "oracle-error",
 )
 
+#: Crafted-ring run: watchdog cycles (the run lasts five of them) and
+#: buffer depth (worms are two flits longer).
+CRAFTED_WATCHDOG = 50
+CRAFTED_BUFFER_DEPTH = 2
+#: Adversarial runs: injection rate, packet length and buffer depth.
+INJECTION_RATE = 0.32
+PACKET_LENGTH = 8
+BUFFER_DEPTH = 2
+#: Fraction of hotspot traffic aimed at the first node.
+HOTSPOT_FRACTION = 0.5
+#: Simple-cycle enumeration budget when picking a crafted ring.
+CYCLE_SEARCH_LIMIT = 400
+
 
 @dataclass(frozen=True)
 class SimProfile:
     """Budgets for the simulation oracle (picklable; ships to workers)."""
 
-    #: Crafted-ring run: worms sized ``buffer_depth + 2``, watchdog cycles.
-    crafted_watchdog: int = 50
-    crafted_buffer_depth: int = 2
-    #: Adversarial runs: cycles / rate / length / buffers / watchdog / seeds.
+    #: Adversarial runs: cycles / watchdog / seeds.
     cycles: int = 600
-    injection_rate: float = 0.32
-    packet_length: int = 8
-    buffer_depth: int = 2
     watchdog: int = 200
     seeds: tuple[int, ...] = (0,)
-    #: Fraction of hotspot traffic aimed at the first node.
-    hotspot_fraction: float = 0.5
-    #: Simple-cycle enumeration budget when picking a crafted ring.
-    cycle_search_limit: int = 400
     #: Mirror every simulation run on the vector backend and require
     #: bit-identical stats (the ``backend-divergence`` oracle).
     compare_backends: bool = True
@@ -207,30 +217,15 @@ class TrialResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "theorem_safe": self.theorem_safe,
-            "theorem_violations": list(self.theorem_violations),
-            "static_safe": self.static_safe,
-            "static_errors": list(self.static_errors),
-            "cdg_acyclic": self.cdg_acyclic,
-            "cdg_wires": self.cdg_wires,
-            "cdg_dependencies": self.cdg_dependencies,
-            "cdg_cycle": list(self.cdg_cycle),
-            "arbitrary_safe": self.arbitrary_safe,
-            "arbitrary_core": self.arbitrary_core,
-            "arbitrary_cycle": list(self.arbitrary_cycle),
-            "sim_deadlock": self.sim_deadlock,
-            "sim_unroutable": self.sim_unroutable,
-            "sim_runs": list(self.sim_runs),
-            "forensics": self.forensics,
-            "witness_in_core": self.witness_in_core,
-            "backend_agree": self.backend_agree,
-            "backend_divergences": list(self.backend_divergences),
-            "classification": self.classification,
-            "disagreement": self.disagreement,
-            "error": self.error,
-        }
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, FuzzDesign):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
 
 class CycleRouting(RoutingFunction):
@@ -278,6 +273,77 @@ class CycleRouting(RoutingFunction):
         return [(wire.dst, wire.channel)]
 
 
+class _Trial:
+    """One design as the verdicts judge it.
+
+    The compiled sequence and turn set are built at once; the topology,
+    class rule and native routing on first use, then kept.  A trial shares
+    one native-routing instance between its routed CDG, its dependency
+    relation and its simulation runs.
+    """
+
+    def __init__(self, design: FuzzDesign) -> None:
+        self.design = design
+        self.seq, self.turnset = design.compile()
+        #: Judged through a native engine's routed relation?  Native
+        #: engines get class-level checks only: the wrap-ring closure check
+        #: and the topology-aware lint rules model table legality.
+        self.native = design.engine != "table"
+
+    @cached_property
+    def topology(self) -> Topology:
+        return self.design.topology()
+
+    @cached_property
+    def rule(self) -> ClassRule:
+        return self.design.class_rule()
+
+    @cached_property
+    def routing(self) -> RoutingFunction | None:
+        """The native routing engine, ``None`` for table-routed designs."""
+        return self.design.engine_routing(self.topology) if self.native else None
+
+    def theorem(self) -> tuple[bool, tuple[str, ...]]:
+        reports = audit_turns(self.seq, sorted(self.turnset.turns))
+        violations = [v for rep in reports for v in rep.violations]
+        if not self.native:
+            violations.extend(
+                unbroken_wrap_rings(
+                    self.topology, self.seq.all_channels, self.turnset, self.rule
+                )
+            )
+        return (not violations, tuple(violations))
+
+    def static(self) -> tuple[bool, tuple[str, ...]]:
+        unit = DesignUnit(
+            sequence=self.seq,
+            turnset=self.turnset,
+            name=self.design.label or self.seq.arrow_notation(),
+            topology=None if self.native else self.topology,
+            rule=self.rule,
+        )
+        errors = _static_errors(unit)
+        return (not errors, errors)
+
+    def cdg_graph(self) -> DependencyGraph:
+        if self.native:
+            return build_routing_cdg(self.topology, self.routing, self.rule)
+        return build_turn_cdg(
+            self.topology, self.turnset, self.seq.all_channels, self.rule
+        )
+
+    def arbitrary(self) -> ArbitraryVerdict:
+        if self.native:
+            relation = dependency_relation_from_routing(
+                self.topology, self.routing, self.rule
+            )
+        else:
+            relation = dependency_relation_from_turns(
+                self.topology, self.turnset, self.seq.all_channels, self.rule
+            )
+        return existence_verdict(relation)
+
+
 class DifferentialOracle:
     """Runs one design through all five verdict paths and classifies."""
 
@@ -286,66 +352,25 @@ class DifferentialOracle:
 
     # -- individual oracles ------------------------------------------------
 
-    @staticmethod
-    def _native(design: FuzzDesign) -> bool:
-        """Is the design judged through a native engine's routed relation?"""
-        return design.engine != "table"
-
     def theorem_verdict(
         self, design: FuzzDesign
     ) -> tuple[bool, tuple[str, ...]]:
         """(safe, violations) from the class-level theorem checks."""
-        seq, turnset = design.compile()
-        reports = audit_turns(seq, sorted(turnset.turns))
-        violations = [v for rep in reports for v in rep.violations]
-        if not self._native(design):
-            violations.extend(
-                unbroken_wrap_rings(
-                    design.topology(), seq.all_channels, turnset, design.class_rule()
-                )
-            )
-        return (not violations, tuple(violations))
+        return _Trial(design).theorem()
 
     def static_verdict(self, design: FuzzDesign) -> tuple[bool, tuple[str, ...]]:
         """(safe, error strings) from the static analyzer's mirror rules."""
-        seq, turnset = design.compile()
-        unit = DesignUnit(
-            sequence=seq,
-            turnset=turnset,
-            name=design.label or seq.arrow_notation(),
-            # Native engines: class-level rules only — the topology-aware
-            # rules model table legality, not engine legality.
-            topology=None if self._native(design) else design.topology(),
-            rule=design.class_rule(),
-        )
-        errors = _static_errors(unit)
-        return (not errors, errors)
+        return _Trial(design).static()
 
     def cdg_graph(self, design: FuzzDesign) -> DependencyGraph:
-        seq, turnset = design.compile()
-        topology = design.topology()
-        rule = design.class_rule()
-        if self._native(design):
-            return build_routing_cdg(topology, design.engine_routing(topology), rule)
-        return build_turn_cdg(topology, turnset, seq.all_channels, rule)
+        return _Trial(design).cdg_graph()
 
     def cdg_verdict(self, design: FuzzDesign) -> Verdict:
         return verdict_for(self.cdg_graph(design))
 
     def arbitrary_verdict(self, design: FuzzDesign) -> ArbitraryVerdict:
         """The fifth oracle: the arbitrary-network existence condition."""
-        seq, turnset = design.compile()
-        topology = design.topology()
-        rule = design.class_rule()
-        if self._native(design):
-            relation = dependency_relation_from_routing(
-                topology, design.engine_routing(topology), rule
-            )
-        else:
-            relation = dependency_relation_from_turns(
-                topology, turnset, seq.all_channels, rule
-            )
-        return existence_verdict(relation)
+        return _Trial(design).arbitrary()
 
     # -- the full trial ----------------------------------------------------
 
@@ -362,58 +387,27 @@ class DifferentialOracle:
         return result
 
     def _run(self, design: FuzzDesign, result: TrialResult) -> None:
-        seq, turnset = design.compile()
-        topology = design.topology()
-        rule = design.class_rule()
-        native = self._native(design)
-        native_routing = design.engine_routing(topology) if native else None
+        trial = _Trial(design)
+        # Build every part before the first verdict: a design that cannot
+        # be built records no verdict at all.
+        _ = trial.topology, trial.rule, trial.routing
 
-        reports = audit_turns(seq, sorted(turnset.turns))
-        violations = [v for rep in reports for v in rep.violations]
-        if not native:
-            violations.extend(
-                unbroken_wrap_rings(topology, seq.all_channels, turnset, rule)
-            )
-        result.theorem_safe = not violations
-        result.theorem_violations = tuple(violations)
+        result.theorem_safe, result.theorem_violations = trial.theorem()
+        result.static_safe, result.static_errors = trial.static()
 
-        unit = DesignUnit(
-            sequence=seq,
-            turnset=turnset,
-            name=design.label or seq.arrow_notation(),
-            topology=None if native else topology,
-            rule=rule,
-        )
-        static = _static_errors(unit)
-        result.static_safe = not static
-        result.static_errors = static
-
-        if native:
-            graph = build_routing_cdg(topology, native_routing, rule)
-        else:
-            graph = build_turn_cdg(topology, turnset, seq.all_channels, rule)
+        graph = trial.cdg_graph()
         verdict = verdict_for(graph)
         result.cdg_acyclic = verdict.acyclic
         result.cdg_wires = verdict.wires
         result.cdg_dependencies = verdict.dependencies
         result.cdg_cycle = tuple(str(w) for w in verdict.cycle)
 
-        if native:
-            relation = dependency_relation_from_routing(
-                topology, native_routing, rule
-            )
-        else:
-            relation = dependency_relation_from_turns(
-                topology, turnset, seq.all_channels, rule
-            )
-        arbitrary = existence_verdict(relation)
+        arbitrary = trial.arbitrary()
         result.arbitrary_safe = arbitrary.safe
         result.arbitrary_core = arbitrary.core
         result.arbitrary_cycle = arbitrary.cycle
 
-        runs, forensics = self._simulate(
-            design, seq, turnset, topology, rule, graph, verdict, native_routing
-        )
+        runs, forensics = self._simulate(trial, graph, verdict)
         result.sim_runs = tuple(runs)
         result.sim_deadlock = any(r.get("deadlocked") for r in runs)
         result.sim_unroutable = any(r.get("unroutable") for r in runs)
@@ -498,36 +492,21 @@ class DifferentialOracle:
     # -- simulation oracle -------------------------------------------------
 
     def _simulate(
-        self,
-        design: FuzzDesign,
-        seq: PartitionSequence,
-        turnset: TurnSet,
-        topology: Topology,
-        rule: ClassRule,
-        graph: DependencyGraph,
-        verdict: Verdict,
-        native_routing: RoutingFunction | None = None,
+        self, trial: _Trial, graph: DependencyGraph, verdict: Verdict
     ) -> tuple[list[dict], DeadlockForensics | None]:
         profile = self.profile
+        design, topology, rule = trial.design, trial.topology, trial.rule
         runs: list[dict] = []
 
-        crafted_classes = (
-            native_routing.channel_classes
-            if native_routing is not None
-            else seq.all_channels
-        )
         if not verdict.acyclic:
-            crafted, crafted_forensics = self._crafted_ring_run(
-                topology, crafted_classes, rule, graph
-            )
+            crafted, crafted_forensics = self._crafted_ring_run(trial, graph)
             if crafted is not None:
                 runs.append(crafted)
                 if crafted.get("deadlocked"):
                     return runs, crafted_forensics
 
-        if native_routing is not None:
-            routing: RoutingFunction = native_routing
-        else:
+        routing = trial.routing
+        if routing is None:
             table_kwargs: dict = {}
             if design.topology_kind == "irregular":
                 # Minimal directions may dead-end around failed links;
@@ -535,8 +514,8 @@ class DifferentialOracle:
                 table_kwargs = {"directions": "progressive", "fallback": "escape"}
             try:
                 routing = TurnTableRouting(
-                    topology, seq, rule, turnset=turnset, validate=False,
-                    **table_kwargs,
+                    topology, trial.seq, rule, turnset=trial.turnset,
+                    validate=False, **table_kwargs,
                 )
             except EbdaError as exc:
                 runs.append(
@@ -556,98 +535,45 @@ class DifferentialOracle:
             patterns.append(("rotate90", rotate90))
         else:
             patterns.append(("uniform", uniform))
-        patterns.append(
-            ("hotspot", hotspot([nodes[0]], profile.hotspot_fraction))
-        )
+        patterns.append(("hotspot", hotspot([nodes[0]], HOTSPOT_FRACTION)))
 
+        network = (topology, routing, rule)
+        sim_kwargs = {"buffer_depth": BUFFER_DEPTH, "watchdog": profile.watchdog}
         replays = []
         forensics = None
         for seed, (name, pattern) in itertools.product(profile.seeds, patterns):
-            run, replay, run_forensics = self._adversarial_run(
-                topology, routing, rule, name, pattern, seed
+            config = TrafficConfig(
+                injection_rate=INJECTION_RATE,
+                packet_length=PACKET_LENGTH,
+                pattern=pattern,
+                seed=seed,
             )
-            runs.append(run)
+            record: dict = {"kind": "adversarial", "pattern": name, "seed": seed}
+            replay, run_forensics = _reference_run(
+                network, record, profile.cycles,
+                lambda config=config: TrafficGenerator(topology, config),
+                seed, sim_kwargs, delivered=True,
+            )
+            runs.append(record)
             replays.append(replay)
-            if run.get("deadlocked"):
+            if record.get("deadlocked"):
                 forensics = run_forensics
                 break
-        self._mirror_on_vector(
-            topology,
-            routing,
-            rule,
-            replays,
-            buffer_depth=profile.buffer_depth,
-            watchdog=profile.watchdog,
-        )
+        self._mirror_on_vector(network, replays, sim_kwargs)
         return runs, forensics
 
-    def _adversarial_run(
-        self,
-        topology: Topology,
-        routing: RoutingFunction,
-        rule: ClassRule,
-        pattern_name: str,
-        pattern,
-        seed: int,
-    ) -> tuple[dict, tuple, DeadlockForensics | None]:
-        """One reference run, its replay for :meth:`_mirror_on_vector`, and
-        the forensics of the deadlock it declared (``None`` if none)."""
-        profile = self.profile
-        sim = NetworkSimulator(
-            topology,
-            routing,
-            rule,
-            buffer_depth=profile.buffer_depth,
-            watchdog=profile.watchdog,
-            seed=seed,
-        )
-        config = TrafficConfig(
-            injection_rate=profile.injection_rate,
-            packet_length=profile.packet_length,
-            pattern=pattern,
-            seed=seed,
-        )
-        record: dict = {"kind": "adversarial", "pattern": pattern_name, "seed": seed}
-        ref_stats = ref_error = forensics = None
-        try:
-            stats = ref_stats = sim.run(
-                profile.cycles, TrafficGenerator(topology, config)
-            )
-        except (RoutingError, SimulationError) as exc:
-            ref_error = exc
-            record.update(unroutable=True, error=str(exc))
-        else:
-            record.update(
-                deadlocked=stats.deadlocked,
-                cycles=stats.cycles,
-                delivered=stats.packets_delivered,
-            )
-            if stats.deadlocked:
-                forensics = DeadlockForensics.capture(sim)
-        replay = (
-            record,
-            profile.cycles,
-            TrafficGenerator(topology, config),
-            seed,
-            ref_stats,
-            ref_error,
-        )
-        return record, replay, forensics
-
     def _crafted_ring_run(
-        self,
-        topology: Topology,
-        classes: tuple[Channel, ...],
-        rule: ClassRule,
-        graph: DependencyGraph,
+        self, trial: _Trial, graph: DependencyGraph
     ) -> tuple[dict | None, DeadlockForensics | None]:
-        profile = self.profile
-        cycle = self._pick_cycle(graph)
+        cycle = _pick_cycle(graph)
         if cycle is None:
             return None, None
+        topology, rule = trial.topology, trial.rule
+        classes = (
+            trial.routing.channel_classes if trial.native else trial.seq.all_channels
+        )
         routing = CycleRouting(topology, cycle, tuple(classes), rule)
-        depth = profile.crafted_buffer_depth
-        length = depth + 2
+        length = CRAFTED_BUFFER_DEPTH + 2
         k = len(cycle)
         script = []
         for i, wire in enumerate(cycle):
@@ -655,52 +581,27 @@ class DifferentialOracle:
             if dst == wire.src:
                 return None, None
             script.append((wire.src, dst, length))
-        sim = NetworkSimulator(
-            topology,
-            routing,
-            rule,
-            buffer_depth=depth,
-            watchdog=profile.crafted_watchdog,
-            seed=0,
-        )
+        network = (topology, routing, rule)
+        sim_kwargs = {"buffer_depth": CRAFTED_BUFFER_DEPTH, "watchdog": CRAFTED_WATCHDOG}
         record: dict = {"kind": "crafted-ring", "ring": [str(w) for w in cycle]}
-        cycles = profile.crafted_watchdog * 5
-        ref_stats = ref_error = None
-        try:
-            stats = ref_stats = sim.run(cycles, ScriptedTraffic({0: script}))
-        except (RoutingError, SimulationError) as exc:
-            ref_error = exc
-            record.update(unroutable=True, error=str(exc))
-        else:
-            record.update(deadlocked=stats.deadlocked, cycles=stats.cycles)
-        # Its own routing and watchdog: a batch of one.
-        self._mirror_on_vector(
-            topology,
-            routing,
-            rule,
-            [(record, cycles, ScriptedTraffic({0: script}), 0, ref_stats, ref_error)],
-            buffer_depth=depth,
-            watchdog=profile.crafted_watchdog,
+        replay, forensics = _reference_run(
+            network, record, CRAFTED_WATCHDOG * 5,
+            lambda: ScriptedTraffic({0: script}),
+            0, sim_kwargs, delivered=False,
         )
-        if ref_stats is None or not ref_stats.deadlocked:
-            return record, None
-        return record, DeadlockForensics.capture(sim)
+        # Its own routing and watchdog: a batch of one.
+        self._mirror_on_vector(network, [replay], sim_kwargs)
+        return record, forensics
 
     def _mirror_on_vector(
-        self,
-        topology: Topology,
-        routing: RoutingFunction,
-        rule: ClassRule,
-        replays: list[tuple],
-        *,
-        buffer_depth: int,
-        watchdog: int,
+        self, network: tuple, replays: list[tuple], sim_kwargs: dict
     ) -> None:
         """Replay reference runs on the vector backend and diff the stats.
 
         ``replays`` holds one ``(record, cycles, traffic, seed, ref_stats,
-        ref_error)`` per reference run on this network, with a fresh copy
-        of its traffic; they replay together, as one :func:`run_batch`.
+        ref_error)`` per reference run on ``network`` (``(topology,
+        routing, rule)``), with a fresh copy of its traffic; they replay
+        together, as one :func:`run_batch` with the runs' ``sim_kwargs``.
         Annotates each ``record`` with ``backend_agree`` (and the
         divergence strings when the engines split).  A config outside the
         vector engine's scope leaves the records unannotated — nothing to
@@ -710,12 +611,9 @@ class DifferentialOracle:
             return
         try:
             outcomes = run_batch(
-                topology,
-                routing,
-                rule,
+                *network,
                 [(cycles, traffic) for _, cycles, traffic, *_ in replays],
-                buffer_depth=buffer_depth,
-                watchdog=watchdog,
+                **sim_kwargs,
             )
         except ConfigError:
             return
@@ -727,34 +625,69 @@ class DifferentialOracle:
             if divergences:
                 record["backend_divergences"] = tuple(divergences)
 
-    def _pick_cycle(self, graph: DependencyGraph) -> tuple[Wire, ...] | None:
-        """A small node-simple CDG cycle (distinct routers), if any exists.
 
-        Worms can only be parked unambiguously along a cycle whose wires
-        start at distinct routers and span at least three of them; a
-        2-wire back-and-forth (e.g. a lone descending U-turn) has no such
-        arrangement — the caller then falls back to adversarial traffic.
-        """
-        limit = self.profile.cycle_search_limit
-        for bound in (3, 4, 6, 8, 12):
-            candidates = []
-            seen = 0
-            for nodes in simple_cycles(graph, length_bound=bound):
-                seen += 1
-                if seen > limit:
-                    break
-                if len(nodes) < 3:
-                    continue
-                sources = {w.src for w in nodes}
-                if len(sources) != len(nodes):
-                    continue
-                candidates.append(_canonical_rotation(nodes))
-            if candidates:
-                return min(
-                    candidates,
-                    key=lambda c: (len(c), tuple(str(w) for w in c)),
-                )
-        return None
+def _reference_run(
+    network: tuple,
+    record: dict,
+    cycles: int,
+    traffic,
+    seed: int,
+    sim_kwargs: dict,
+    *,
+    delivered: bool,
+) -> tuple[tuple, DeadlockForensics | None]:
+    """Run ``traffic()`` on the reference engine and fill ``record``.
+
+    The record gets ``unroutable`` and ``error`` when the run raised a
+    routing or simulation error, else ``deadlocked``, ``cycles`` and, with
+    ``delivered`` set, ``delivered``.  Returns the run's replay for
+    :meth:`DifferentialOracle._mirror_on_vector` (with a fresh
+    ``traffic()``) and the forensics of the deadlock it declared (``None``
+    if none).
+    """
+    sim = NetworkSimulator(*network, seed=seed, **sim_kwargs)
+    stats = error = forensics = None
+    try:
+        stats = sim.run(cycles, traffic())
+    except (RoutingError, SimulationError) as exc:
+        error = exc
+        record.update(unroutable=True, error=str(exc))
+    else:
+        record.update(deadlocked=stats.deadlocked, cycles=stats.cycles)
+        if delivered:
+            record["delivered"] = stats.packets_delivered
+        if stats.deadlocked:
+            forensics = DeadlockForensics.capture(sim)
+    return (record, cycles, traffic(), seed, stats, error), forensics
+
+
+def _pick_cycle(graph: DependencyGraph) -> tuple[Wire, ...] | None:
+    """A small node-simple CDG cycle (distinct routers), if any exists.
+
+    Worms can only be parked unambiguously along a cycle whose wires
+    start at distinct routers and span at least three of them; a
+    2-wire back-and-forth (e.g. a lone descending U-turn) has no such
+    arrangement — the caller then falls back to adversarial traffic.
+    """
+    for bound in (3, 4, 6, 8, 12):
+        candidates = []
+        seen = 0
+        for nodes in simple_cycles(graph, length_bound=bound):
+            seen += 1
+            if seen > CYCLE_SEARCH_LIMIT:
+                break
+            if len(nodes) < 3:
+                continue
+            sources = {w.src for w in nodes}
+            if len(sources) != len(nodes):
+                continue
+            candidates.append(_canonical_rotation(nodes))
+        if candidates:
+            return min(
+                candidates,
+                key=lambda c: (len(c), tuple(str(w) for w in c)),
+            )
+    return None
 
 
 def _canonical_rotation(cycle: tuple[Wire, ...]) -> tuple[Wire, ...]:

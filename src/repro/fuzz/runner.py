@@ -1,10 +1,10 @@
 """The fuzzing campaign driver: fan out trials, shrink and persist findings.
 
 :func:`run_fuzz` generates seeded designs, runs each through the
-:class:`~repro.fuzz.oracle.DifferentialOracle` (fanning batches out over a
-:class:`~repro.sim.parallel.SweepEngine` worker pool when one is given),
-and collects a :class:`FuzzReport`.  Any trial whose verdicts disagree is
-delta-debugged down to a minimal witness that *still reproduces the same
+:class:`~repro.fuzz.oracle.DifferentialOracle` (fanning batches out
+through :meth:`~repro.sim.parallel.SweepEngine.map_tasks`), and collects
+a :class:`FuzzReport`.  Any trial whose verdicts disagree is delta-debugged
+down to a minimal witness that *still reproduces the same
 disagreement* and — when a corpus directory is given — persisted with its
 generator seed and trial index so the exact design replays forever.
 
@@ -142,9 +142,13 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run a differential fuzzing campaign.
 
-    Trials are generated and judged in batches; ``budget_s`` is checked
-    between batches, so a campaign is cut short cleanly rather than
-    mid-trial.  Each hard disagreement is shrunk (preserving its exact
+    Trials are generated and judged in batches, fanned out through
+    ``engine`` (a serial :class:`~repro.sim.parallel.SweepEngine` by
+    default).  ``budget_s`` bounds wall-clock time, checked *after* each
+    batch, so at least one batch always runs and a campaign is cut short
+    cleanly rather than mid-trial; a cut campaign's last heartbeat reads
+    ``interrupted``, and so does its ledger outcome unless a disagreement
+    was found.  Each hard disagreement is shrunk (preserving its exact
     classification) and, with ``corpus_dir`` set, saved for replay.
 
     ``families`` selects the topology families the generator draws from
@@ -164,8 +168,8 @@ def run_fuzz(
         generator = DesignGenerator(
             seed, families=tuple(families) if families else DEFAULT_FAMILIES
         )
-    jobs = engine.jobs if engine is not None else 1
-    batch_size = max(8, jobs * 4)
+    engine = engine if engine is not None else SweepEngine()
+    batch_size = max(8, engine.jobs * 4)
     started = time.monotonic()
     report = FuzzReport(seed=seed, runs_requested=runs)
     counts: Counter = Counter()
@@ -178,19 +182,16 @@ def run_fuzz(
         help="Hard oracle disagreements found by fuzzing.",
     )
 
-    with tracer.span("fuzz.campaign", runs=runs, seed=seed, jobs=jobs) as root:
+    with tracer.span("fuzz.campaign", runs=runs, seed=seed, jobs=engine.jobs) as root:
         trial = 0
         batch_no = 0
+        interrupted = False
         while trial < runs:
-            if budget_s is not None and time.monotonic() - started >= budget_s:
-                break
             with tracer.span("fuzz.batch", batch=batch_no, start=trial) as bspan:
                 batch = generator.designs(min(batch_size, runs - trial), start=trial)
-                payloads = [(d.to_dict(), profile) for d in batch]
-                if engine is not None:
-                    results = engine.map_tasks(_run_trial, payloads)
-                else:
-                    results = [_run_trial(p) for p in payloads]
+                results = engine.map_tasks(
+                    _run_trial, [(d.to_dict(), profile) for d in batch]
+                )
                 found = 0
                 for offset, result in enumerate(results):
                     counts[result.classification] += 1
@@ -222,6 +223,9 @@ def run_fuzz(
                     f" {len(report.disagreements)} disagreement(s),"
                     f" {elapsed:.1f}s elapsed"
                 )
+            if trial < runs and budget_s is not None and elapsed >= budget_s:
+                interrupted = True
+                break
         root.set(
             completed=trial,
             disagreements=len(report.disagreements),
@@ -230,7 +234,11 @@ def run_fuzz(
     report.counts = dict(counts)
     report.elapsed_s = time.monotonic() - started
     if heartbeat is not None:
-        heartbeat.finish(trial, disagreements=len(report.disagreements))
+        heartbeat.beat(
+            trial,
+            state="interrupted" if interrupted else "done",
+            disagreements=len(report.disagreements),
+        )
     spec = f"runs={runs},seed={seed}"
     gen_families = tuple(getattr(generator, "families", ()) or ())
     if gen_families and gen_families != DEFAULT_FAMILIES:
@@ -239,7 +247,11 @@ def run_fuzz(
         "fuzz",
         spec=spec,
         seed=seed,
-        outcome="ok" if report.ok else "disagreement",
+        outcome=(
+            "disagreement"
+            if not report.ok
+            else ("interrupted" if interrupted else "ok")
+        ),
         payload={
             "runs_completed": report.runs_completed,
             "counts": report.counts,
@@ -253,6 +265,15 @@ def run_fuzz(
     return report
 
 
+def _same_classification(oracle: DifferentialOracle, target: str):
+    """The shrink predicate: does a candidate still classify as ``target``?"""
+
+    def same(candidate: FuzzDesign) -> bool:
+        return oracle.run(candidate).classification == target
+
+    return same
+
+
 def _handle_disagreement(
     trial: int,
     result: TrialResult,
@@ -261,13 +282,9 @@ def _handle_disagreement(
     seed: int,
 ) -> Disagreement:
     """Shrink a disagreeing design and persist the witness."""
-    oracle = DifferentialOracle(profile)
     target = result.classification
-
-    def same_disagreement(candidate: FuzzDesign) -> bool:
-        return oracle.run(candidate).classification == target
-
-    shrunk = shrink(result.design, same_disagreement)
+    oracle = DifferentialOracle(profile)
+    shrunk = shrink(result.design, _same_classification(oracle, target))
     disagreement = Disagreement(
         trial=trial,
         classification=target,
@@ -328,10 +345,7 @@ def self_check(profile: SimProfile | None = None) -> tuple[bool, str]:
             f" {result.classification!r}, expected 'valid-design-rejected'",
         )
 
-    def same(candidate: FuzzDesign) -> bool:
-        return oracle.run(candidate).classification == "valid-design-rejected"
-
-    shrunk = shrink(injected, same)
+    shrunk = shrink(injected, _same_classification(oracle, "valid-design-rejected"))
     if not within_witness_bound(shrunk.design):
         return (
             False,

@@ -248,7 +248,6 @@ class RunLedger:
 
 
 _current: RunLedger | None = None
-_env_checked = False
 
 
 def current_ledger() -> RunLedger | None:

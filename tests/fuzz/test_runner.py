@@ -91,3 +91,49 @@ def test_self_check_passes():
     ok, message = self_check(fast_profile())
     assert ok, message
     assert "shrunk" in message
+
+
+class TestBudgetCut:
+    """A budget cut runs one batch and reads ``interrupted`` everywhere."""
+
+    @staticmethod
+    def _cut_campaign(tmp_path, monkeypatch, **kwargs):
+        from repro.obs import HeartbeatWriter, RunLedger, set_ledger
+
+        monkeypatch.delenv("REPRO_EBDA_LEDGER_DIR", raising=False)
+        ledger = RunLedger(tmp_path / "ledger")
+        heartbeat = HeartbeatWriter("fuzz-0", "fuzz", 100, tmp_path / "beats")
+        previous = set_ledger(ledger)
+        try:
+            report = run_fuzz(
+                100, seed=0, budget_s=0.0, profile=fast_profile(),
+                heartbeat=heartbeat, **kwargs,
+            )
+        finally:
+            set_ledger(previous)
+        (record,) = ledger.records()
+        return report, json.loads(heartbeat.path.read_text()), record
+
+    def test_zero_budget_runs_one_batch_and_is_interrupted(self, tmp_path, monkeypatch):
+        report, beat, record = self._cut_campaign(tmp_path, monkeypatch)
+        assert report.runs_completed == 8
+        assert len(report.trials) == 8
+        assert beat["state"] == "interrupted" and beat["done"] == 8
+        assert record.kind == "fuzz" and record.outcome == "interrupted"
+
+    def test_disagreement_outranks_interrupted(self, tmp_path, monkeypatch):
+        report, beat, record = self._cut_campaign(
+            tmp_path, monkeypatch, generator=_InjectingGenerator(seed=0)
+        )
+        assert report.runs_completed == 8 and not report.ok
+        assert beat["state"] == "interrupted"
+        assert record.outcome == "disagreement"
+
+    def test_full_campaign_is_done(self, tmp_path):
+        from repro.obs import HeartbeatWriter
+
+        heartbeat = HeartbeatWriter("fuzz-0", "fuzz", 4, tmp_path)
+        report = run_fuzz(4, seed=0, budget_s=0.0, profile=fast_profile(),
+                          heartbeat=heartbeat)
+        assert report.runs_completed == 4
+        assert json.loads(heartbeat.path.read_text())["state"] == "done"
