@@ -13,7 +13,7 @@ faults land on a schedule nobody chose*.  Three pillars:
   mode alongside :class:`~repro.sim.traffic.TrafficGenerator`;
 * :mod:`repro.chaos.campaign` — :class:`ChaosCampaign`, a Monte-Carlo
   driver sweeping seeded random fault schedules x recovery policies x
-  workloads over :meth:`~repro.sim.parallel.SweepEngine.map_tasks`, with
+  workloads over :meth:`~repro.sim.parallel.SweepEngine.run_campaign`, with
   content-addressed checkpoints (:mod:`repro.chaos.checkpoint`) so an
   interrupted campaign resumes byte-identically;
 * :mod:`repro.chaos.survival` — per-policy survival curves

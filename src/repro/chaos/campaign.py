@@ -7,8 +7,8 @@ chose*.  Each trial is derived purely from ``(config, index)`` — which
 workload runs, which recovery policy is armed, how many link failures
 strike and under which seeds — so the campaign is deterministic
 end-to-end: the same config produces byte-identical trial records whether
-it runs serially, fanned out over
-:meth:`~repro.sim.parallel.SweepEngine.map_tasks` workers, in one sitting
+it runs serially, fanned out over the workers of
+:meth:`~repro.sim.parallel.SweepEngine.run_campaign`, in one sitting
 or resumed from a :class:`~repro.chaos.checkpoint.CampaignCheckpoint`
 after a kill.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -29,10 +30,10 @@ from pathlib import Path
 from repro.errors import EbdaError, SimulationError, UnroutableError
 from repro.obs.ledger import record_run
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import current_tracer
 from repro.sim.faults import FaultSchedule, RecoveryPolicy
 from repro.sim.runner import RunConfig, run_point
 from repro.sim.specs import EbdaDesignFactory, resolve_routing_factory
+from repro.sim.stats import _jsonable
 from repro.store import atomic_write, canonical_json, digest
 from repro.topology.mesh import Mesh
 
@@ -277,9 +278,9 @@ def run_trial(config: CampaignConfig, index: int) -> dict:
         deadlock_declared_at=stats.deadlock_declared_at,
         first_fault_cycle=first_fault,
         time_to_deadlock=time_to_deadlock,
-        latency_p50=_finite(stats.latency_percentile(50)),
-        latency_p95=_finite(stats.latency_percentile(95)),
-        latency_p99=_finite(stats.latency_percentile(99)),
+        latency_p50=_jsonable(stats.latency_percentile(50)),
+        latency_p95=_jsonable(stats.latency_percentile(95)),
+        latency_p99=_jsonable(stats.latency_percentile(99)),
         recovery_latency_mean=recovery_mean,
         wait_cycle_len=(
             len(forensics.wait_cycle) if forensics is not None else None
@@ -288,12 +289,8 @@ def run_trial(config: CampaignConfig, index: int) -> dict:
     return record
 
 
-def _finite(value: float) -> float | None:
-    return None if value != value else value
-
-
 def _run_trial(payload: "tuple[CampaignConfig, int]") -> dict:
-    """Worker entry for :meth:`SweepEngine.map_tasks` (module-level: picklable)."""
+    """Worker entry for :meth:`SweepEngine.run_campaign` (module-level: picklable)."""
     config, index = payload
     return run_trial(config, index)
 
@@ -437,10 +434,6 @@ class ChaosCampaign:
         never reach the deterministic trial records.
         """
         started = time.monotonic()
-        tracer = current_tracer()
-        trials_metric = REGISTRY.counter(
-            "repro_chaos_trials_total", help="Chaos campaign trials completed."
-        )
         stored: dict[int, bytes] = {}
         if self.checkpoint is not None:
             stored = {
@@ -448,83 +441,45 @@ class ChaosCampaign:
                 for i, data in self.checkpoint.completed().items()
                 if i < self.config.trials
             }
-        pending = [i for i in range(self.config.trials) if i not in stored]
         resumed = len(stored)
         if resumed and progress is not None:
             progress(f"resumed {resumed} trial(s) from {self.checkpoint.directory}")
-        counts: dict[str, int] = {}
-        for data in stored.values():
-            outcome = json.loads(data)["outcome"]
-            counts[outcome] = counts.get(outcome, 0) + 1
+        counts = Counter(json.loads(data)["outcome"] for data in stored.values())
 
-        batch_size = max(8, self.engine.jobs * 4)
-        interrupted = False
-        with tracer.span(
-            "chaos.campaign",
+        def absorb(batch: list[int], results: list[dict]) -> None:
+            for index, record in zip(batch, results):
+                data = trial_record_bytes(record)
+                if self.checkpoint is not None:
+                    self.checkpoint.store(index, data)
+                stored[index] = data
+                counts[record["outcome"]] += 1
+            for outcome, n in counts.items():
+                REGISTRY.gauge(
+                    "repro_chaos_outcomes",
+                    labels={"outcome": outcome},
+                    help="Chaos trial outcomes so far, by classification.",
+                ).set(n)
+
+        interrupted = self.engine.run_campaign(
+            "chaos",
+            _run_trial,
+            [i for i in range(self.config.trials) if i not in stored],
+            lambda index: (self.config, index),
+            absorb,
+            total=self.config.trials,
+            status=lambda: {f"n_{o}": n for o, n in sorted(counts.items())},
+            budget_s=budget_s,
+            progress=progress,
+            heartbeat=heartbeat,
             token=self.config.token(),
             trials=self.config.trials,
             resumed=resumed,
-        ) as root:
-            batch_no = 0
-            while pending:
-                batch, pending = pending[:batch_size], pending[batch_size:]
-                with tracer.span(
-                    "chaos.batch", batch=batch_no, trials=len(batch)
-                ):
-                    results = self.engine.map_tasks(
-                        _run_trial, [(self.config, i) for i in batch]
-                    )
-                    for index, record in zip(batch, results):
-                        data = trial_record_bytes(record)
-                        if self.checkpoint is not None:
-                            self.checkpoint.store(index, data)
-                        stored[index] = data
-                        counts[record["outcome"]] = (
-                            counts.get(record["outcome"], 0) + 1
-                        )
-                trials_metric.inc(len(batch))
-                for outcome, n in counts.items():
-                    REGISTRY.gauge(
-                        "repro_chaos_outcomes",
-                        labels={"outcome": outcome},
-                        help="Chaos trial outcomes so far, by classification.",
-                    ).set(n)
-                batch_no += 1
-                if heartbeat is not None:
-                    heartbeat.beat(
-                        len(stored),
-                        batch=batch_no,
-                        **{f"n_{o}": n for o, n in sorted(counts.items())},
-                    )
-                if progress is not None:
-                    outcomes = " ".join(
-                        f"{o}={n}" for o, n in sorted(counts.items())
-                    )
-                    progress(
-                        f"{len(stored)}/{self.config.trials} trials"
-                        f" ({time.monotonic() - started:.1f}s)"
-                        + (f" {outcomes}" if outcomes else "")
-                    )
-                if (
-                    pending
-                    and budget_s is not None
-                    and time.monotonic() - started >= budget_s
-                ):
-                    interrupted = True
-                    break
-            root.set(completed=len(stored), interrupted=interrupted)
-
+        )
         report = CampaignReport(
             config=self.config,
             trial_bytes=[stored[i] for i in sorted(stored)],
             interrupted=interrupted,
         )
-        if heartbeat is not None:
-            heartbeat.beat(
-                len(stored),
-                state="interrupted" if interrupted else "done",
-                **{f"n_{o}": n for o, n in sorted(counts.items())},
-            )
         record_run(
             "chaos",
             spec=self.config.token(),

@@ -28,10 +28,10 @@ prints the text report the ``repro chaos`` CLI shows.
 
 from __future__ import annotations
 
-from math import floor
 from pathlib import Path
 
 from repro.errors import EbdaError
+from repro.sim import stats
 from repro.store import read_jsonl
 
 __all__ = [
@@ -49,17 +49,10 @@ OUTCOMES = ("delivered", "degraded", "deadlock", "unroutable", "error")
 
 
 def _percentile(values: list[float], q: float) -> float | None:
-    """Linear interpolation between closest ranks — the
-    :meth:`repro.sim.stats.SimStats.latency_percentile` convention."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(max(q, 0.0), 100.0) / 100 * (len(ordered) - 1)
-    lo = floor(rank)
-    frac = rank - lo
-    if frac == 0.0 or lo + 1 >= len(ordered):
-        return float(ordered[lo])
-    return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
+    """The q-th percentile of unsorted ``values`` in the
+    :meth:`repro.sim.stats.SimStats.latency_percentile` convention; None
+    when empty."""
+    return stats._jsonable(stats._percentile(sorted(values), q))
 
 
 def _trials(records: list[dict]) -> list[dict]:

@@ -8,6 +8,19 @@ import sys
 from repro.cli import engine_from_args, parse_mesh, verb
 
 
+def _live(args: argparse.Namespace, id: str, kind: str, total: int) -> dict:
+    """A campaign's ``progress`` (lines on stderr) and ``heartbeat`` file;
+    neither under ``--quiet``."""
+    if args.quiet:
+        return {}
+    from repro.obs import HeartbeatWriter
+
+    return {
+        "progress": lambda line: print(line, file=sys.stderr),
+        "heartbeat": HeartbeatWriter(id, kind, total),
+    }
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import (
         FAMILIES,
@@ -61,26 +74,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"replayed {len(replayed)} corpus entries")
 
     if args.runs > 0:
-        engine = engine_from_args(args)
-        heartbeat = None
-        progress = None
-        if not args.quiet:
-            from repro.obs import HeartbeatWriter
-
-            progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-            heartbeat = HeartbeatWriter(
-                f"fuzz-{args.seed}", "fuzz", args.runs
-            )
         report = run_fuzz(
             args.runs,
             seed=args.seed,
             budget_s=args.budget_s,
             corpus_dir=args.corpus_dir or None,
-            engine=engine,
+            engine=engine_from_args(args),
             profile=profile,
             families=families,
-            progress=progress,
-            heartbeat=heartbeat,
+            **_live(args, f"fuzz-{args.seed}", "fuzz", args.runs),
         )
         print(report.summary())
         if args.report:
@@ -147,7 +149,6 @@ def FUZZ(parser: argparse.ArgumentParser) -> None:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import CampaignConfig, ChaosCampaign, render_survival
-    from repro.sim.parallel import SweepEngine
 
     if args.load:
         print(render_survival(args.load))
@@ -166,19 +167,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         watchdog=args.watchdog,
     )
 
-    engine = engine_from_args(args) or SweepEngine()
     campaign = ChaosCampaign(
-        config, engine=engine, checkpoint_dir=args.checkpoint_dir or None
+        config,
+        engine=engine_from_args(args),
+        checkpoint_dir=args.checkpoint_dir or None,
     )
-    heartbeat = None
-    progress = None
-    if not args.quiet:
-        from repro.obs import HeartbeatWriter
-
-        progress = print
-        heartbeat = HeartbeatWriter(config.token(), "chaos", config.trials)
     report = campaign.run(
-        budget_s=args.budget_s, progress=progress, heartbeat=heartbeat
+        budget_s=args.budget_s,
+        **_live(args, config.token(), "chaos", config.trials),
     )
     print(report.summary())
     if args.out:

@@ -2,7 +2,7 @@
 
 :func:`run_fuzz` generates seeded designs, runs each through the
 :class:`~repro.fuzz.oracle.DifferentialOracle` (fanning batches out
-through :meth:`~repro.sim.parallel.SweepEngine.map_tasks`), and collects
+through :meth:`~repro.sim.parallel.SweepEngine.run_campaign`), and collects
 a :class:`FuzzReport`.  Any trial whose verdicts disagree is delta-debugged
 down to a minimal witness that *still reproduces the same
 disagreement* and — when a corpus directory is given — persisted with its
@@ -81,16 +81,19 @@ class FuzzReport:
     counts: dict = field(default_factory=dict)
     disagreements: list = field(default_factory=list)
     trials: list = field(default_factory=list)
+    #: The wall-clock budget cut the campaign before ``runs_requested``.
+    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        """No hard disagreement surfaced."""
+        """No hard disagreement surfaced (a budget cut is not a failure)."""
         return not self.disagreements
 
     def summary(self) -> str:
+        status = "interrupted" if self.interrupted else "complete"
         parts = [
             f"fuzz seed={self.seed}:"
-            f" {self.runs_completed}/{self.runs_requested} trials"
+            f" {self.runs_completed}/{self.runs_requested} trials [{status}]"
             f" in {self.elapsed_s:.1f}s"
         ]
         for cls in sorted(self.counts):
@@ -114,6 +117,7 @@ class FuzzReport:
             "seed": self.seed,
             "runs_requested": self.runs_requested,
             "runs_completed": self.runs_completed,
+            "interrupted": self.interrupted,
             "elapsed_s": self.elapsed_s,
             "counts": self.counts,
             "ok": self.ok,
@@ -142,13 +146,14 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run a differential fuzzing campaign.
 
-    Trials are generated and judged in batches, fanned out through
-    ``engine`` (a serial :class:`~repro.sim.parallel.SweepEngine` by
-    default).  ``budget_s`` bounds wall-clock time, checked *after* each
-    batch, so at least one batch always runs and a campaign is cut short
-    cleanly rather than mid-trial; a cut campaign's last heartbeat reads
-    ``interrupted``, and so does its ledger outcome unless a disagreement
-    was found.  Each hard disagreement is shrunk (preserving its exact
+    Trials are generated and judged in batches by
+    :meth:`~repro.sim.parallel.SweepEngine.run_campaign` on ``engine`` (a
+    serial :class:`~repro.sim.parallel.SweepEngine` by default).
+    ``budget_s`` bounds wall-clock time, checked *after* each batch, so at
+    least one batch always runs and a campaign is cut short cleanly rather
+    than mid-trial; a cut campaign's report, summary and last heartbeat
+    read ``interrupted``, and so does its ledger outcome unless a
+    disagreement was found.  Each hard disagreement is shrunk (preserving its exact
     classification) and, with ``corpus_dir`` set, saved for replay.
 
     ``families`` selects the topology families the generator draws from
@@ -169,76 +174,42 @@ def run_fuzz(
             seed, families=tuple(families) if families else DEFAULT_FAMILIES
         )
     engine = engine if engine is not None else SweepEngine()
-    batch_size = max(8, engine.jobs * 4)
     started = time.monotonic()
     report = FuzzReport(seed=seed, runs_requested=runs)
-    counts: Counter = Counter()
     tracer = current_tracer()
-    trials_metric = REGISTRY.counter(
-        "repro_fuzz_trials_total", help="Differential fuzz trials judged."
-    )
     disagreements_metric = REGISTRY.counter(
         "repro_fuzz_disagreements_total",
         help="Hard oracle disagreements found by fuzzing.",
     )
 
-    with tracer.span("fuzz.campaign", runs=runs, seed=seed, jobs=engine.jobs) as root:
-        trial = 0
-        batch_no = 0
-        interrupted = False
-        while trial < runs:
-            with tracer.span("fuzz.batch", batch=batch_no, start=trial) as bspan:
-                batch = generator.designs(min(batch_size, runs - trial), start=trial)
-                results = engine.map_tasks(
-                    _run_trial, [(d.to_dict(), profile) for d in batch]
-                )
-                found = 0
-                for offset, result in enumerate(results):
-                    counts[result.classification] += 1
-                    report.trials.append(result)
-                    if result.disagreement:
-                        found += 1
-                        with tracer.span("fuzz.shrink", trial=trial + offset):
-                            report.disagreements.append(
-                                _handle_disagreement(
-                                    trial + offset, result, profile, corpus_dir, seed
-                                )
-                            )
-                bspan.set(trials=len(batch), disagreements=found)
-            trials_metric.inc(len(batch))
-            disagreements_metric.inc(found)
-            trial += len(batch)
-            batch_no += 1
-            report.runs_completed = trial
-            elapsed = time.monotonic() - started
-            if heartbeat is not None:
-                heartbeat.beat(
-                    trial,
-                    batch=batch_no,
-                    disagreements=len(report.disagreements),
-                )
-            if progress is not None:
-                progress(
-                    f"fuzz: {trial}/{runs} trials,"
-                    f" {len(report.disagreements)} disagreement(s),"
-                    f" {elapsed:.1f}s elapsed"
-                )
-            if trial < runs and budget_s is not None and elapsed >= budget_s:
-                interrupted = True
-                break
-        root.set(
-            completed=trial,
-            disagreements=len(report.disagreements),
-        )
+    def absorb(trials: list[int], results: list[TrialResult]) -> None:
+        for trial, result in zip(trials, results):
+            report.trials.append(result)
+            if result.disagreement:
+                disagreements_metric.inc()
+                with tracer.span("fuzz.shrink", trial=trial):
+                    report.disagreements.append(
+                        _handle_disagreement(trial, result, profile, corpus_dir, seed)
+                    )
 
-    report.counts = dict(counts)
+    report.interrupted = engine.run_campaign(
+        "fuzz",
+        _run_trial,
+        range(runs),
+        lambda trial: (generator.design_for(trial).to_dict(), profile),
+        absorb,
+        total=runs,
+        status=lambda: {"disagreements": len(report.disagreements)},
+        budget_s=budget_s,
+        progress=progress,
+        heartbeat=heartbeat,
+        runs=runs,
+        seed=seed,
+        jobs=engine.jobs,
+    )
+    report.runs_completed = len(report.trials)
+    report.counts = dict(Counter(t.classification for t in report.trials))
     report.elapsed_s = time.monotonic() - started
-    if heartbeat is not None:
-        heartbeat.beat(
-            trial,
-            state="interrupted" if interrupted else "done",
-            disagreements=len(report.disagreements),
-        )
     spec = f"runs={runs},seed={seed}"
     gen_families = tuple(getattr(generator, "families", ()) or ())
     if gen_families and gen_families != DEFAULT_FAMILIES:
@@ -250,7 +221,7 @@ def run_fuzz(
         outcome=(
             "disagreement"
             if not report.ok
-            else ("interrupted" if interrupted else "ok")
+            else ("interrupted" if report.interrupted else "ok")
         ),
         payload={
             "runs_completed": report.runs_completed,

@@ -89,14 +89,21 @@ class HeartbeatWriter:
         self._started = clock()
         self.beats = 0
 
-    def beat(
-        self, done: int, *, batch: int | None = None, state: str = "running", **extra: Any
-    ) -> dict:
-        """Rewrite the heartbeat file; returns the record written.
+    def beat(self, done: int, *, batch: int | None = None, **extra: Any) -> dict:
+        """Rewrite the heartbeat file of a ``running`` campaign; returns the
+        record written.
 
         ``extra`` fields (disagreements so far, outcome counts) must be
         strict-JSON-safe; they land at the top level of the record.
         """
+        return self._write(done, batch, "running", extra)
+
+    def finish(self, done: int, *, interrupted: bool = False, **extra: Any) -> dict:
+        """Final beat: marks the campaign ``done``, or ``interrupted`` when
+        its budget cut it short."""
+        return self._write(done, None, "interrupted" if interrupted else "done", extra)
+
+    def _write(self, done: int, batch: int | None, state: str, extra: dict) -> dict:
         now = self._clock()
         elapsed = now - self._started
         eta: float | None = None
@@ -127,10 +134,6 @@ class HeartbeatWriter:
         atomic_write(self.path, text)
         self.beats += 1
         return record
-
-    def finish(self, done: int, **extra: Any) -> dict:
-        """Final beat: marks the campaign ``done``."""
-        return self.beat(done, state="done", **extra)
 
 
 _REQUIRED = (

@@ -535,8 +535,7 @@ class SweepEngine:
         deterministic in-process fallback (same results, serially).
         Results preserve payload order.  Unlike :meth:`run_many` this does
         not consult the result cache — callers own their own memoisation.
-        The fuzzing harness (:mod:`repro.fuzz.runner`) uses this to spread
-        differential trials across workers.
+        :meth:`run_campaign` is its one caller.
         """
         items = list(payloads)
         parallel = (
@@ -552,6 +551,75 @@ class SweepEngine:
             return list(pool.map(fn, items))
         finally:
             pool.shutdown()
+
+    def run_campaign(
+        self,
+        kind: str,
+        fn: Callable,
+        pending: Sequence[int],
+        payload: Callable[[int], object],
+        absorb: Callable[[list[int], list], None],
+        *,
+        total: int,
+        status: Callable[[], dict],
+        budget_s: float | None = None,
+        progress: Callable[[str], None] | None = None,
+        heartbeat=None,
+        **attrs,
+    ) -> bool:
+        """Run a campaign's ``pending`` trial indices in batches of
+        ``max(8, jobs * 4)``; returns True when ``budget_s`` cut it short.
+
+        Each batch maps ``fn`` over ``payload(index)`` through
+        :meth:`map_tasks` and hands ``(indices, results)`` to ``absorb``
+        inside a ``<kind>.batch`` span (itself inside one
+        ``<kind>.campaign`` span carrying ``attrs``).  Trials of ``total``
+        that are not pending (resumed from a checkpoint) count as done.
+        After every batch ``repro_<kind>_trials_total`` grows, the
+        ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
+        beats with the ``status()`` fields, ``progress`` receives
+        ``<kind>: done/total trials (elapsed s) k=v...``, and, while trials
+        are pending, the budget is checked — so at least one batch always
+        runs and a cut never lands mid-trial.  The last beat is
+        :meth:`~repro.obs.heartbeat.HeartbeatWriter.finish`'s.
+        """
+        started = time.monotonic()
+        tracer = current_tracer()
+        trials_metric = REGISTRY.counter(
+            f"repro_{kind}_trials_total", help=f"Trials a {kind} campaign completed."
+        )
+        batch_size = max(8, self.jobs * 4)
+        pending = list(pending)
+        done = total - len(pending)
+        interrupted = False
+        with tracer.span(f"{kind}.campaign", **attrs) as root:
+            batch_no = 0
+            while pending:
+                batch, pending = pending[:batch_size], pending[batch_size:]
+                with tracer.span(
+                    f"{kind}.batch", batch=batch_no, start=batch[0], trials=len(batch)
+                ):
+                    absorb(batch, self.map_tasks(fn, [payload(i) for i in batch]))
+                trials_metric.inc(len(batch))
+                done += len(batch)
+                batch_no += 1
+                fields = status()
+                elapsed = time.monotonic() - started
+                if heartbeat is not None:
+                    heartbeat.beat(done, batch=batch_no, **fields)
+                if progress is not None:
+                    progress(
+                        f"{kind}: {done}/{total} trials ({elapsed:.1f}s)"
+                        + "".join(f" {k}={v}" for k, v in fields.items())
+                    )
+                if pending and budget_s is not None and elapsed >= budget_s:
+                    interrupted = True
+                    break
+            fields = status()
+            root.set(completed=done, interrupted=interrupted, **fields)
+        if heartbeat is not None:
+            heartbeat.finish(done, interrupted=interrupted, **fields)
+        return interrupted
 
     def run_many(
         self,

@@ -129,6 +129,18 @@ class TestBudgetCut:
         assert beat["state"] == "interrupted"
         assert record.outcome == "disagreement"
 
+    def test_cut_report_says_interrupted(self, tmp_path, monkeypatch):
+        report, _beat, _record = self._cut_campaign(tmp_path, monkeypatch)
+        assert report.interrupted and report.ok
+        assert "8/100 trials [interrupted]" in report.summary()
+        line = json.loads(report.to_jsonl(tmp_path / "r.jsonl").read_text().splitlines()[-1])
+        assert line["kind"] == "report" and line["interrupted"] is True
+        full = run_fuzz(4, seed=0, budget_s=0.0, profile=fast_profile())
+        assert not full.interrupted and "4/4 trials [complete]" in full.summary()
+        assert json.loads(full.to_jsonl(tmp_path / "f.jsonl").read_text().splitlines()[-1])[
+            "interrupted"
+        ] is False
+
     def test_full_campaign_is_done(self, tmp_path):
         from repro.obs import HeartbeatWriter
 
