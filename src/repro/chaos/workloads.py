@@ -49,6 +49,7 @@ from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError
 from repro.routing.packet import Packet
+from repro.sim.traffic import ScriptedTraffic
 from repro.store import atomic_write, canonical_json, digest, read_jsonl
 from repro.topology.base import Coord, Topology
 
@@ -333,7 +334,9 @@ class TracedWorkload:
     """A :class:`WorkloadTrace` materialised on a concrete topology.
 
     Speaks the simulator's traffic protocol (``packets_for_cycle``) with
-    sequential pids, validating every destination against the topology.
+    sequential pids, validating every destination against the topology;
+    the packets come from a :class:`~repro.sim.traffic.ScriptedTraffic`
+    over :attr:`schedule`.
     """
 
     def __init__(
@@ -344,8 +347,8 @@ class TracedWorkload:
     ) -> None:
         self.trace = trace
         self.topology = topology
-        self.schedule = schedule
-        self._next_pid = 0
+        self._script = ScriptedTraffic(schedule)
+        self.schedule = self._script.script
         node_set = topology.node_set
         for entries in schedule.values():
             for src, dst, _length in entries:
@@ -365,13 +368,7 @@ class TracedWorkload:
         return max(self.schedule, default=-1)
 
     def packets_for_cycle(self, cycle: int) -> list[Packet]:
-        created: list[Packet] = []
-        for src, dst, length in self.schedule.get(cycle, ()):
-            created.append(
-                Packet(pid=self._next_pid, src=src, dst=dst, length=length, created=cycle)
-            )
-            self._next_pid += 1
-        return created
+        return self._script.packets_for_cycle(cycle)
 
     def as_replay(self) -> WorkloadTrace:
         """Flatten this concrete schedule into a ``replay`` trace.

@@ -209,11 +209,14 @@ class RunLedger:
         digest, outcome, run_id}, ...]}`` — ``variants`` holds one entry
         per distinct (versions, digest) pair, in first-seen order.
         Same-version digest flips are included too: those are
-        *nondeterminism*, which is worse than drift.
+        *nondeterminism*, which is worse than drift.  ``interrupted``
+        records are skipped: a run its budget cut digests only the part
+        it ran, so it cannot be compared with a complete one.
         """
         groups: dict[tuple, list[RunRecord]] = {}
         for record in self.records():
-            groups.setdefault(record.identity, []).append(record)
+            if record.outcome != "interrupted":
+                groups.setdefault(record.identity, []).append(record)
         rows = []
         for identity, members in groups.items():
             digests = {m.digest for m in members}

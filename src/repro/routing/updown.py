@@ -13,8 +13,6 @@ class (``u``/``d``) via :meth:`UpDownRouting.class_rule`.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.channel import Channel
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction, backward_reachable
@@ -54,7 +52,9 @@ class UpDownRouting(RoutingFunction):
         else:
             self._root = root if root is not None else topology.nodes[0]
             topology.validate_node(self._root)
-            self._levels = self._bfs_levels(topology, self._root)
+            self._levels = dict(topology.hop_distances(self._root))
+            if len(self._levels) != len(topology.nodes):
+                raise RoutingError("topology is not connected; Up*/Down* needs a spanning tree")
         super().__init__(topology, self.class_rule)
         self._classes = tuple(
             Channel(dim, sign, cls=tag)
@@ -63,20 +63,6 @@ class UpDownRouting(RoutingFunction):
             for tag in ("u", "d")
         )
         self._reach_cache: dict[Coord, frozenset[tuple[Coord, Channel]]] = {}
-
-    @staticmethod
-    def _bfs_levels(topology: Topology, root: Coord) -> dict[Coord, int]:
-        levels = {root: 0}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nxt in topology.neighbors(cur):
-                if nxt not in levels:
-                    levels[nxt] = levels[cur] + 1
-                    queue.append(nxt)
-        if len(levels) != len(topology.nodes):
-            raise RoutingError("topology is not connected; Up*/Down* needs a spanning tree")
-        return levels
 
     def is_up(self, link: Link) -> bool:
         """Does the link point up (toward the root)?"""

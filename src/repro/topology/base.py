@@ -11,6 +11,7 @@ algebra: a design channel ``X2+`` is *instantiated* on every link labelled
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -63,8 +64,8 @@ class Topology(ABC):
     """Base class for all network shapes.
 
     Concrete subclasses provide the node set, the link set and the minimal
-    direction oracle; everything else (lookup maps, adjacency) derives from
-    those.
+    direction oracle; everything else (lookup maps, adjacency, hop
+    distances) derives from those.
     """
 
     @property
@@ -162,27 +163,61 @@ class Topology(ABC):
         """Nodes one hop away from ``node``."""
         return tuple(l.dst for l in self.out_links(node))
 
+    @cached_property
+    def _hop_cache(self) -> dict[Coord, dict[Coord, int]]:
+        return {}
+
+    def hop_distances(self, src: Coord) -> dict[Coord, int]:
+        """Hop counts from ``src`` to every node it reaches over the links.
+
+        The library's one distance search: a breadth-first search over
+        the out-links (so a degraded or irregular topology measures the
+        links it has), run once per source and cached.  Nodes with no
+        directed path from ``src`` are absent.
+        """
+        dist = self._hop_cache.get(src)
+        if dist is None:
+            self.validate_node(src)
+            out_links = self._out_links
+            dist = {src: 0}
+            queue = deque([src])
+            while queue:
+                cur = queue.popleft()
+                hops = dist[cur] + 1
+                for link in out_links[cur]:
+                    if link.dst not in dist:
+                        dist[link.dst] = hops
+                        queue.append(link.dst)
+            self._hop_cache[src] = dist
+        return dist
+
     def distance(self, src: Coord, dst: Coord) -> int:
-        """Minimal hop count from ``src`` to ``dst``."""
-        total = 0
-        cur = src
-        # Generic implementation: walk greedily using the minimal-direction
-        # oracle; subclasses with closed forms override this.
-        visited = 0
-        while cur != dst:
-            dirs = self.minimal_directions(cur, dst)
-            if not dirs:
-                raise TopologyError(f"no minimal route from {cur} to {dst}")
-            dim, sign = dirs[0]
-            nxt = self._step(cur, dim, sign)
-            if nxt is None:
-                raise TopologyError(f"cannot move {dim_sign(dim, sign)} from {cur}")
-            cur = nxt
-            total += 1
-            visited += 1
-            if visited > len(self.nodes):
-                raise TopologyError("distance walk did not converge")
-        return total
+        """Minimal hop count from ``src`` to ``dst``.
+
+        Read off :meth:`hop_distances`; shapes with a closed form override
+        it.  Raises :class:`TopologyError` when no directed path exists.
+        """
+        self.validate_node(dst)
+        try:
+            return self.hop_distances(src)[dst]
+        except KeyError:
+            raise TopologyError(f"no directed path {src} -> {dst}") from None
+
+    def nearer_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
+        """The ``(dim, sign)`` of each out-link of ``cur`` whose far end is
+        nearer ``dst``, in out-link order (one entry per such link).
+
+        Empty when ``cur == dst`` or when no directed path leads to ``dst``.
+        """
+        self.validate_node(dst)
+        here = self.hop_distances(cur).get(dst)
+        if here is None:
+            return ()
+        return tuple(
+            (link.dim, link.sign)
+            for link in self._out_links[cur]
+            if self.hop_distances(link.dst).get(dst, here) < here
+        )
 
     def _step(self, cur: Coord, dim: int, sign: int) -> Coord | None:
         """The neighbour reached by moving (dim, sign), if the link exists."""

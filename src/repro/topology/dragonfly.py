@@ -120,13 +120,4 @@ class Dragonfly(Topology):
         """Coarse oracle (link-dimension granularity); routing uses
         :class:`~repro.routing.dragonfly.DragonflyRouting` for per-link
         decisions."""
-        self.validate_node(cur)
-        self.validate_node(dst)
-        if cur == dst:
-            return ()
-        here = self.distance(cur, dst)
-        dims: set[tuple[int, int]] = set()
-        for link in self.out_links(cur):
-            if self.distance(link.dst, dst) < here:
-                dims.add((link.dim, link.sign))
-        return tuple(sorted(dims))
+        return tuple(sorted(set(self.nearer_directions(cur, dst))))

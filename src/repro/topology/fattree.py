@@ -19,7 +19,6 @@ concrete CDG like every other design in this library.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from repro.errors import TopologyError
@@ -80,36 +79,6 @@ class FatTree(Topology):
                 out.append(Link(spine, leaf, 0, -1))
         return tuple(out)
 
-    @cached_property
-    def _dist(self) -> dict[Coord, dict[Coord, int]]:
-        adj: dict[Coord, list[Coord]] = {n: [] for n in self.nodes}
-        for l in self.links:
-            adj[l.src].append(l.dst)
-        out: dict[Coord, dict[Coord, int]] = {}
-        for start in self.nodes:
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nxt in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            out[start] = dist
-        return out
-
-    def distance(self, src: Coord, dst: Coord) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
-        return self._dist[src][dst]
-
     def minimal_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
         """Directions (up/down) of links that shorten the distance."""
-        self.validate_node(cur)
-        self.validate_node(dst)
-        here = self.distance(cur, dst)
-        dirs: set[tuple[int, int]] = set()
-        for link in self.out_links(cur):
-            if self.distance(link.dst, dst) < here:
-                dirs.add((link.dim, link.sign))
-        return tuple(sorted(dirs))
+        return tuple(sorted(set(self.nearer_directions(cur, dst))))

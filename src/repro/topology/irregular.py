@@ -4,9 +4,11 @@ The paper asserts its theorems hold on irregular networks.  We model
 irregularity as a 2D/3D mesh with a set of failed bidirectional links
 (and, for router failures, a set of failed nodes).  Minimal-direction
 oracles are no longer exact (a productive direction may be missing), so
-this topology also provides a BFS-based reachability oracle used by
-Up*/Down* routing and by fault-tolerant EbDa designs that exploit
-Theorem 2's U-turns for rerouting.
+:meth:`FaultyMesh.progressive_directions` offers the surviving links that
+shorten the path instead, for fault-tolerant EbDa designs that exploit
+Theorem 2's U-turns for rerouting.  Its distances, like those of
+:class:`GraphTopology` and Up*/Down* levels, come from the one hop
+search of :meth:`Topology.hop_distances <repro.topology.base.Topology.hop_distances>`.
 
 The runtime fault-injection path (:mod:`repro.sim.faults`) degrades a
 topology incrementally with :meth:`FaultyMesh.without_link` /
@@ -15,7 +17,6 @@ topology incrementally with :meth:`FaultyMesh.without_link` /
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable
 
@@ -61,7 +62,8 @@ class FaultyMesh(Topology):
             base.validate_node(node)
             dead_nodes.add(node)
         self._failed_nodes = dead_nodes
-        if not self._connected():
+        nodes = self.nodes
+        if not nodes or len(self.hop_distances(nodes[0])) != len(nodes):
             raise TopologyError("failures disconnect the network")
 
     def __repr__(self) -> str:
@@ -149,28 +151,6 @@ class FaultyMesh(Topology):
             return self._base.endpoints
         return tuple(n for n in self._base.endpoints if n not in self._failed_nodes)
 
-    def _connected(self) -> bool:
-        nodes = [n for n in self._base.nodes if n not in self._failed_nodes]
-        if not nodes:
-            return False
-        adj: dict[Coord, list[Coord]] = {n: [] for n in nodes}
-        for l in self._base.links:
-            if (
-                frozenset((l.src, l.dst)) not in self._failed
-                and l.src not in self._failed_nodes
-                and l.dst not in self._failed_nodes
-            ):
-                adj[l.src].append(l.dst)
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(nodes)
-
     def minimal_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
         """Base-minimal directions whose links survive.
 
@@ -186,40 +166,9 @@ class FaultyMesh(Topology):
                 dirs.append((dim, sign))
         return tuple(dirs)
 
-    @cached_property
-    def _dist_cache(self) -> dict[Coord, dict[Coord, int]]:
-        # BFS from every node over surviving links (meshes here are small).
-        adj: dict[Coord, list[Coord]] = {n: [] for n in self.nodes}
-        for l in self.links:
-            adj[l.src].append(l.dst)
-        out: dict[Coord, dict[Coord, int]] = {}
-        for start in self.nodes:
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nxt in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            out[start] = dist
-        return out
-
-    def distance(self, src: Coord, dst: Coord) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
-        return self._dist_cache[src][dst]
-
     def progressive_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
         """Directions that strictly reduce the surviving-graph distance."""
-        self.validate_node(cur)
-        self.validate_node(dst)
-        here = self.distance(cur, dst)
-        dirs: list[tuple[int, int]] = []
-        for link in self.out_links(cur):
-            if self.distance(link.dst, dst) < here:
-                dirs.append((link.dim, link.sign))
-        return tuple(dirs)
+        return self.nearer_directions(cur, dst)
 
 
 class GraphTopology(Topology):
@@ -276,45 +225,9 @@ class GraphTopology(Topology):
     def links(self) -> tuple[Link, ...]:
         return tuple(Link(u, v, 0, +1) for u, v in self._edges)
 
-    @cached_property
-    def _graph_dist(self) -> dict[Coord, dict[Coord, int]]:
-        adj: dict[Coord, list[Coord]] = {n: [] for n in self._nodes}
-        for u, v in self._edges:
-            adj[u].append(v)
-        out: dict[Coord, dict[Coord, int]] = {}
-        for start in self._nodes:
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nxt in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            out[start] = dist
-        return out
-
-    def distance(self, src: Coord, dst: Coord) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
-        try:
-            return self._graph_dist[src][dst]
-        except KeyError:
-            raise TopologyError(f"no directed path {src} -> {dst}") from None
-
     def minimal_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
         """``((0, +1),)`` whenever any out-link shortens the path."""
-        self.validate_node(cur)
-        self.validate_node(dst)
-        if cur == dst:
-            return ()
-        here = self._graph_dist[cur].get(dst)
-        if here is None:
-            return ()
-        for link in self.out_links(cur):
-            if self._graph_dist[link.dst].get(dst, here) < here:
-                return ((0, +1),)
-        return ()
+        return ((0, +1),) if self.nearer_directions(cur, dst) else ()
 
     def progressive_directions(self, cur: Coord, dst: Coord) -> tuple[tuple[int, int], ...]:
         """Same as :meth:`minimal_directions` (one direction label)."""
