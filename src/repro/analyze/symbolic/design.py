@@ -40,6 +40,7 @@ from repro.core.partition import Partition
 from repro.core.sequence import PartitionSequence
 from repro.core.turns import Turn, TurnSet
 from repro.errors import EbdaError
+from repro.topology.classes import NAMED_RULES, rule_for_design
 
 __all__ = [
     "CLAIMED_CATALOG",
@@ -358,15 +359,9 @@ def _catalog_kind(name: str) -> tuple[str, int]:
 
 
 def _catalog_rule(name: str) -> str:
-    if name == "odd-even":
-        return "column-parity"
-    if name == "hamiltonian":
-        return "row-parity"
-    if name.startswith("dragonfly"):
-        return "dragonfly"
-    if name == "fattree-updown":
-        return "updown-signs"
-    return "none"
+    """The :data:`NAMED_RULES` name of :func:`rule_for_design`'s rule."""
+    rule = rule_for_design(name)
+    return next(key for key, named in NAMED_RULES.items() if named is rule)
 
 
 def _catalog_families() -> dict[str, SymbolicDesign]:

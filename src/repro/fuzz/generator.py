@@ -53,6 +53,10 @@ __all__ = ["DEFAULT_FAMILIES", "DesignGenerator"]
 #: The pre-family default: preserves the original trial stream exactly.
 DEFAULT_FAMILIES = ("mesh", "torus")
 
+#: Probability a base design of the default family selection targets a
+#: torus (dateline scheme) instead of a mesh (Algorithm 1).
+TORUS_FRACTION = 0.3
+
 
 class DesignGenerator:
     """Deterministic sampler over the fuzz design space.
@@ -64,10 +68,6 @@ class DesignGenerator:
     mutant_fraction:
         Probability a trial yields a deliberately invalid mutant instead
         of a generator-certified valid design.
-    torus_fraction:
-        Probability a base design targets a torus (dateline scheme)
-        instead of a mesh (Algorithm 1) — only consulted for the default
-        family selection.
     families:
         Topology families to draw from (:data:`repro.fuzz.design.FAMILIES`
         members).  The default keeps the legacy mesh/torus stream.
@@ -78,12 +78,10 @@ class DesignGenerator:
         seed: int = 0,
         *,
         mutant_fraction: float = 0.4,
-        torus_fraction: float = 0.3,
         families: tuple[str, ...] = DEFAULT_FAMILIES,
     ) -> None:
         self.seed = seed
         self.mutant_fraction = mutant_fraction
-        self.torus_fraction = torus_fraction
         families = tuple(families)
         if not families:
             raise ValueError("at least one topology family is required")
@@ -100,7 +98,7 @@ class DesignGenerator:
         """The design of one trial (independent of all other trials)."""
         rng = random.Random(f"{self.seed}:{trial}")
         if self.families == DEFAULT_FAMILIES:
-            # Legacy stream: torus-vs-mesh decided by torus_fraction inside
+            # Legacy stream: torus-vs-mesh decided by TORUS_FRACTION inside
             # _valid, byte-identical to the pre-family generator.
             base = self._valid(rng)
             if rng.random() < self.mutant_fraction:
@@ -125,7 +123,7 @@ class DesignGenerator:
     # -- valid designs -----------------------------------------------------
 
     def _valid(self, rng: random.Random) -> FuzzDesign:
-        if rng.random() < self.torus_fraction:
+        if rng.random() < TORUS_FRACTION:
             return self._valid_torus(rng)
         return self._valid_mesh(rng)
 

@@ -125,19 +125,10 @@ def _rebuild(
         )
     except Exception:  # noqa: BLE001 — e.g. duplicate channels after a rewrite
         return None
-    fields = {
-        "topology_kind": design.topology_kind,
-        "shape": design.shape,
-        "sequence": seq.arrow_notation(),
-        "rule": design.rule,
-        "mutations": mutations,
-        "label": design.label,
-        "engine": design.engine,
-        "failed_links": design.failed_links,
-    }
-    fields.update(overrides)
     try:
-        return FuzzDesign(**fields)
+        return replace(
+            design, sequence=seq.arrow_notation(), mutations=mutations, **overrides
+        )
     except Exception:  # noqa: BLE001 — e.g. a family/shape constraint violated
         return None
 

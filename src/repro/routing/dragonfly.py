@@ -19,7 +19,8 @@ from __future__ import annotations
 from repro.core.channel import Channel
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction
-from repro.topology.base import Coord, Link
+from repro.topology.base import Coord
+from repro.topology.classes import local_global
 from repro.topology.dragonfly import GLOBAL_DIM, LOCAL_DIM, Dragonfly
 
 L1 = Channel(LOCAL_DIM, +1, 1, "l")
@@ -27,9 +28,9 @@ L2 = Channel(LOCAL_DIM, +1, 2, "l")
 G = Channel(GLOBAL_DIM, +1, 1, "g")
 
 
-def dragonfly_rule(link: Link) -> str:
-    """Class rule: local links tagged ``l``, global links ``g``."""
-    return "l" if link.dim == LOCAL_DIM else "g"
+#: Class rule: local links tagged ``l``, global links ``g`` (the named
+#: rule ``"dragonfly"``).
+dragonfly_rule = local_global
 
 
 class DragonflyRouting(RoutingFunction):

@@ -47,7 +47,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.routing.base import RoutingFunction
 from repro.sim.backend import check_run_config, resolve_backend
-from repro.sim.runner import RunConfig, RunResult, run_points
+from repro.sim.runner import RunConfig, RunResult, _kernel_key, run_points
 from repro.sim.specs import resolve_routing_factory, spec_token
 from repro.sim.stats import SimStats
 from repro.store import atomic_write, default_cache_dir, digest
@@ -318,7 +318,8 @@ class PointOutcome:
     """One sweep point's result plus its execution provenance."""
 
     result: RunResult
-    #: Seconds this point took (simulation time for misses, load time for hits).
+    #: Seconds this point took: load time for a hit; for a miss, its
+    #: simulation time or, when batched, its equal share of its batch's.
     wall_time: float
     #: True when served from the cache without simulating.
     cached: bool
@@ -343,8 +344,10 @@ class SweepReport:
     #: (executing the misses), ``cache_write`` (persisting new entries).
     #: Simulation time is additionally attributed per engine under
     #: ``simulate:<backend>`` keys (``simulate:reference``,
-    #: ``simulate:vector``) summing each miss's own wall time, so a
-    #: mixed-backend batch shows where the cycles actually ran.
+    #: ``simulate:vector``) summing each miss's ``wall_time``, so a
+    #: mixed-backend batch shows where the cycles actually ran.  In the
+    #: pool those are worker seconds: with ``jobs > 1`` they can add up
+    #: to more than ``simulate``.
     stage_times: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -434,32 +437,46 @@ _SIM_SECONDS = "repro_simulate_seconds"
 _SIM_HELP = "Wall seconds per simulated point, by backend"
 
 
-def _execute_point(payload: tuple) -> tuple[RunResult, float]:
-    """Worker entry: simulate one point, with its seconds (module-level: picklable)."""
-    topology, routing, config, rule = payload
-    (outcome,) = run_points(topology, routing, [config], rule)
-    return outcome
-
-
-def _execute_serially(
-    pending: list[tuple[int, str | None, tuple]],
-) -> list[tuple[RunResult, float]]:
-    """Simulate the pending points in-process, in order, each with its
-    seconds.
+def _chunks(pending: list[tuple[int, str | None, tuple]], jobs: int) -> list[tuple]:
+    """Cut the pending points into ``(topology, routing, configs, rule)``
+    chunks, in order.
 
     Consecutive points on the same topology, routing and rule objects (a
-    sweep's) go to :func:`~repro.sim.runner.run_points` together, which
-    steps those that share a network as one batch kernel.
+    sweep's) form a run.  With ``jobs=1`` each run is one chunk.  For the
+    pool, a point that runs alone (no batch kernel key) is a chunk of its
+    own, as one pool task; each stretch of points that can batch is cut
+    into at most ``ceil(jobs / runs)`` contiguous chunks of near-equal
+    size, so the pool gets about ``jobs`` tasks and runs stay as whole as
+    they can.
     """
-    results: list[tuple[RunResult, float]] = []
-    for _same, group in groupby(
-        (payload for _i, _key, payload in pending),
-        key=lambda payload: (id(payload[0]), id(payload[1]), id(payload[3])),
-    ):
-        points = list(group)
+    runs = [
+        list(run)
+        for _same, run in groupby(
+            (payload for _i, _key, payload in pending),
+            key=lambda payload: (id(payload[0]), id(payload[1]), id(payload[3])),
+        )
+    ]
+    pieces = -(-jobs // max(1, len(runs)))
+    chunks: list[tuple] = []
+    for points in runs:
         topology, routing, _config, rule = points[0]
-        results += run_points(topology, routing, [config for _t, _r, config, _ in points], rule)
-    return results
+        for batches, stretch in groupby(
+            (config for _t, _r, config, _rule in points),
+            key=lambda config: jobs == 1 or _kernel_key(config, routing) is not None,
+        ):
+            configs = list(stretch)
+            n = min(pieces, len(configs)) if batches else len(configs)
+            cuts = [len(configs) * k // n for k in range(n + 1)]
+            chunks += [(topology, routing, configs[a:b], rule) for a, b in zip(cuts, cuts[1:])]
+    return chunks
+
+
+def _execute_points(chunk: tuple) -> list[tuple[RunResult, float]]:
+    """Simulate one chunk through :func:`~repro.sim.runner.run_points`,
+    which steps its vector points as one batch kernel; each point comes
+    with its seconds (module-level, so the pool can pickle it)."""
+    topology, routing, configs, rule = chunk
+    return run_points(topology, routing, configs, rule)
 
 
 def _picklable(obj: object) -> bool:
@@ -631,14 +648,19 @@ class SweepEngine:
         Every point's config is first checked against its backend
         (:func:`~repro.sim.backend.check_run_config`), so a point the
         backend cannot run is refused whether or not it is cached.  Cache
-        hits load immediately; misses fan out over the process pool, one
-        point per task, when ``jobs > 1`` and every miss payload is
-        picklable.  Otherwise they run in-process through
-        :func:`~repro.sim.runner.run_points`, which steps the vector misses
-        on one network as one batch kernel (same results).  A batched
-        point's ``wall_time`` — in its :class:`PointOutcome`, its cache
-        entry and the ``simulate:<backend>`` stage — is its equal share of
-        the batch's.
+        hits load immediately.  Misses are cut into chunks
+        (:func:`_chunks`): when ``jobs > 1`` and every miss is picklable,
+        each point that runs alone is a chunk of its own and the points
+        that can batch are cut into contiguous pieces, about ``jobs``
+        chunks in all, which go over the process pool, one per task;
+        otherwise each run of consecutive points on the same topology,
+        routing and rule objects is one chunk, run in-process, in order.
+        Every chunk goes to
+        :func:`~repro.sim.runner.run_points`, which steps its vector points
+        on one network as one batch kernel (same results).  A
+        batched point's ``wall_time`` — in its :class:`PointOutcome`, its
+        cache entry and the ``simulate:<backend>`` stage — is its equal
+        share of the batch's.
         """
         started = time.perf_counter()
         stage_times = {
@@ -649,75 +671,65 @@ class SweepEngine:
             check_run_config(resolve_backend(config.backend), config)
         outcomes: list[PointOutcome | None] = [None] * len(work)
         tracer = current_tracer()
-        with tracer.span(
-            "sweep.run_many", points=len(work), jobs=self.jobs
-        ) as root:
-            return self._run_many_traced(
-                tracer, root, work, outcomes, stage_times, started
-            )
-
-    def _run_many_traced(
-        self, tracer, root, work, outcomes, stage_times, started
-    ) -> SweepReport:
-        with tracer.span("sweep.cache_read"):
-            mark = time.perf_counter()
-            # (index, cache key, payload) per point to simulate.
-            pending: list[tuple[int, str | None, tuple]] = []
-            for i, payload in enumerate(work):
-                key = cache_key(*payload) if self.cache is not None else None
-                if key is not None and self.cache is not None:
-                    cached = self._load(key, payload[2])
-                    if cached is not None:
-                        outcomes[i] = cached
-                        continue
-                pending.append((i, key, payload))
-            stage_times["cache_read"] = time.perf_counter() - mark
-
-        parallel = (
-            self.jobs > 1
-            and len(pending) > 1
-            and all(_picklable(payload) for _i, _key, payload in pending)
-        )
-        if parallel:
-            with tracer.span("sweep.spawn"):
+        with tracer.span("sweep.run_many", points=len(work), jobs=self.jobs) as root:
+            with tracer.span("sweep.cache_read"):
                 mark = time.perf_counter()
-                pool = ProcessPoolExecutor(max_workers=self.jobs)
-                stage_times["spawn"] = time.perf_counter() - mark
-            with tracer.span("sweep.simulate", parallel=True, misses=len(pending)):
+                # (index, cache key, payload) per point to simulate.
+                pending: list[tuple[int, str | None, tuple]] = []
+                for i, payload in enumerate(work):
+                    key = cache_key(*payload) if self.cache is not None else None
+                    if key is not None and self.cache is not None:
+                        cached = self._load(key, payload[2])
+                        if cached is not None:
+                            outcomes[i] = cached
+                            continue
+                    pending.append((i, key, payload))
+                stage_times["cache_read"] = time.perf_counter() - mark
+
+            parallel = (
+                self.jobs > 1
+                and len(pending) > 1
+                and all(_picklable(payload) for _i, _key, payload in pending)
+            )
+            # In-process, a whole run is one call: splitting it would only
+            # shrink its batch kernels.
+            chunks = _chunks(pending, self.jobs if parallel else 1)
+            pool = None
+            if parallel:
+                with tracer.span("sweep.spawn"):
+                    mark = time.perf_counter()
+                    pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    stage_times["spawn"] = time.perf_counter() - mark
+            with tracer.span("sweep.simulate", parallel=parallel, misses=len(pending)):
                 mark = time.perf_counter()
                 try:
-                    executed = list(
-                        pool.map(_execute_point, [payload for _i, _key, payload in pending])
-                    )
+                    ran = (pool.map if pool is not None else map)(_execute_points, chunks)
+                    executed = [outcome for got in ran for outcome in got]
                 finally:
-                    pool.shutdown()
+                    if pool is not None:
+                        pool.shutdown()
                 stage_times["simulate"] = time.perf_counter() - mark
-        else:
-            with tracer.span("sweep.simulate", parallel=False, misses=len(pending)):
+
+            with tracer.span("sweep.cache_write"):
                 mark = time.perf_counter()
-                executed = _execute_serially(pending)
-                stage_times["simulate"] = time.perf_counter() - mark
+                for (i, key, payload), (result, elapsed) in zip(pending, executed):
+                    if key is not None and self.cache is not None:
+                        self.cache.put(key, result, elapsed)
+                    backend_stage = f"simulate:{payload[2].backend}"
+                    stage_times[backend_stage] = stage_times.get(backend_stage, 0.0) + elapsed
+                    REGISTRY.histogram(
+                        _SIM_SECONDS,
+                        labels={"backend": payload[2].backend},
+                        help=_SIM_HELP,
+                    ).observe(elapsed)
+                    outcomes[i] = PointOutcome(result, elapsed, cached=False, key=key)
+                stage_times["cache_write"] = time.perf_counter() - mark
 
-        with tracer.span("sweep.cache_write"):
-            mark = time.perf_counter()
-            for (i, key, payload), (result, elapsed) in zip(pending, executed):
-                if key is not None and self.cache is not None:
-                    self.cache.put(key, result, elapsed)
-                backend_stage = f"simulate:{payload[2].backend}"
-                stage_times[backend_stage] = stage_times.get(backend_stage, 0.0) + elapsed
-                REGISTRY.histogram(
-                    _SIM_SECONDS,
-                    labels={"backend": payload[2].backend},
-                    help=_SIM_HELP,
-                ).observe(elapsed)
-                outcomes[i] = PointOutcome(result, elapsed, cached=False, key=key)
-            stage_times["cache_write"] = time.perf_counter() - mark
-
-        hits = sum(1 for o in outcomes if o is not None and o.cached)
-        if self.cache is not None:
-            REGISTRY.counter(_HITS, help=_HITS_HELP).inc(hits)
-            REGISTRY.counter(_MISSES, help=_MISSES_HELP).inc(len(pending))
-        root.set(cache_hits=hits, cache_misses=len(pending))
+            hits = sum(1 for o in outcomes if o is not None and o.cached)
+            if self.cache is not None:
+                REGISTRY.counter(_HITS, help=_HITS_HELP).inc(hits)
+                REGISTRY.counter(_MISSES, help=_MISSES_HELP).inc(len(pending))
+            root.set(cache_hits=hits, cache_misses=len(pending))
 
         return SweepReport(
             points=[o for o in outcomes if o is not None],

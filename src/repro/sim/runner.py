@@ -228,14 +228,15 @@ def run_points(
     return list(zip(outcomes, seconds))  # type: ignore[arg-type]
 
 
-def _kernel_key(config: RunConfig, routing: RoutingFunction) -> tuple | None:
+def _kernel_key(config: RunConfig, routing: object) -> tuple | None:
     """What the points of one batch kernel must share, or None for a point
     that runs alone.
 
     A batch steps one routing instance (and so one topology and rule) at
     one buffer depth, selection, buffer discipline and watchdog.  Only
     plain vector points batch: an observed (metrics, trace) or faulted
-    point needs a simulator of its own.
+    point needs a simulator of its own.  Whether the key is None depends
+    on ``config`` alone.
     """
     selection = spec_token("selection", config.selection)
     if (

@@ -77,10 +77,10 @@ def dateline(link: Link) -> str:
 def local_global(link: Link) -> str:
     """Dragonfly classing: local links tagged ``l``, global links ``g``.
 
-    The canonical form of :func:`repro.routing.dragonfly.dragonfly_rule`
-    (same tags, importable without the routing package) — dragonfly links
-    have no geometric direction, so the EbDa structure lives entirely in
-    the ``L1 -> G -> L2`` class ordering.
+    :data:`repro.routing.dragonfly.dragonfly_rule` is this function; it
+    lives here so it imports without the routing package.  Dragonfly
+    links have no geometric direction, so the EbDa structure lives
+    entirely in the ``L1 -> G -> L2`` class ordering.
     """
     from repro.topology.dragonfly import LOCAL_DIM
 
