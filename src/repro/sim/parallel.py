@@ -750,9 +750,11 @@ class SweepEngine:
 
         :func:`repro.sim.runner.sweep_rates` runs through here; named
         specs keep the fan-out picklable, raw factories degrade to the
-        in-process path automatically.
+        in-process path automatically.  ``routing_factory`` may also be
+        a ready :class:`~repro.routing.base.RoutingFunction`, as for
+        :meth:`run_many`.
         """
-        if not isinstance(routing_factory, str):
+        if not isinstance(routing_factory, (str, RoutingFunction)):
             # Fail fast on typos; string specs resolve in the workers.
             resolve_routing_factory(routing_factory)
         points = [(topology, routing_factory, config.with_rate(r)) for r in rates]

@@ -35,21 +35,38 @@ replica's wire offset.
 
 A site's "front" is the flit currently able to act — the head of the
 wire FIFO, or the next flit of the packet streaming out of a source
-queue — mirrored in flat arrays so every phase mask is a handful of
-vector ops over all sites at once:
+queue — mirrored in flat arrays, and each site has one *state* naming
+what its front does next, so every phase selects its sites with one
+comparison instead of rebuilding a mask from the mirrors:
 
-* ``_buf_pid/_buf_seq/_buf_arr[W, depth]`` + ``_head/_blen[W]`` —
-  per-wire ring-buffer FIFOs (pid, flit sequence number, arrival cycle);
-* ``_fpid/_fseq/_farr/_fdst[W+N]`` — the front mirror (valid where the
-  wire is non-empty / the node is streaming), updated incrementally on
-  every pop and push; injection rows always pass the pipeline-ready test
-  (their ``_farr`` is a large negative constant);
-* ``_route_pid/_route_out[W+N]`` — the route assignment of the front
-  packet (wormhole FIFOs hold contiguous packet segments, so the
-  reference's per-(wire, pid) assignment dict collapses to two arrays);
-  an injection row is "streaming" exactly when its assignment matches;
+* ``_buf_pid/_buf_seq/_buf_state[W·depth]`` + ``_hpos/_tpos[W]`` —
+  per-wire ring-buffer FIFOs, flat: wire ``w`` owns slots ``w·depth ..
+  w·depth+depth-1``, ``_hpos``/``_tpos`` hold the flat slot of its front
+  and of its next free slot, and ``_next_slot`` steps either round the
+  ring.  A slot's state is 0 when it is empty, else the state its flit
+  takes on reaching the front (``_HOME`` at its destination, else
+  ``_WANT`` for a head, ``_GO`` for a body flit, which follows its
+  head's route), so a wire is full exactly when its next free slot is
+  taken, and a pop mirrors the new front's state with one gather;
+* ``_fpid/_fseq[W+N]`` — the front mirror, valid where the site's state
+  is not ``_IDLE``, updated incrementally on every pop and push;
+* ``_state[W+N]`` — ``_IDLE`` (empty wire, idle injection row),
+  ``_HOME`` (eject it), ``_WANT`` (an unrouted head: allocate it),
+  ``_ASLEEP`` (an unrouted head waiting for a candidate output to free)
+  or ``_GO`` (routed: it requests its output).  It changes only where
+  fronts, routes and sleepers change — pops and pushes, route
+  assignment, sleep and wake, and parking;
+* ``_buf_arr[W·depth]`` / ``_farr[W+N]`` — arrival cycles of buffered
+  flits and fronts, kept only when ``pipeline_delay > 0`` (at delay 0
+  every buffered front arrived in an earlier cycle, so no phase reads
+  them); injection rows always pass the pipeline-ready test (their
+  ``_farr`` is a large negative constant);
+* ``_route_out[W+N]`` — the output wire assigned to the front packet
+  (wormhole FIFOs hold contiguous packet segments, so the reference's
+  per-(wire, pid) assignment dict collapses to one array, read only
+  where the state is ``_GO``);
 * ``_owner`` — wormhole ownership per output wire;
-* ``_pref_out`` — the sole routing candidate of each site's current
+* ``_pref_out`` — the sole routing candidate of each wanting site's
   front where known, which lets the allocation phase batch-resolve
   single-candidate cycles without a per-site Python loop.
 
@@ -67,16 +84,17 @@ pays the first-touch routing queries.
 
 Phase semantics (mirrored decision for decision)
 ------------------------------------------------
-1. **ejection** — one vectorized mask; ``np.nonzero`` yields wires
+1. **ejection** — the ``_HOME`` wires; ``nonzero`` yields them
    ascending, the order the reference appends delivery latencies in.
-2. **allocation** — a mask finds heads needing a route; a Python loop
-   walks them in reference order (wires ascending, then source nodes in
-   topology order), because allocation is order-dependent: an earlier
-   site claiming an output changes what later sites see.  Futile retries
-   are suppressed: a blocked head's outcome can only change when one of
-   its candidate outputs is released (releases happen only in the eject/
-   traversal phases, claims only earlier in the same loop), so blocked
-   sites sleep until a release of one of their candidates wakes them.
+2. **allocation** — the ``_WANT`` sites are the heads needing a route;
+   a Python loop walks them in reference order (wires ascending, then
+   source nodes in topology order), because allocation is
+   order-dependent: an earlier site claiming an output changes what
+   later sites see.  Futile retries are suppressed: a blocked head's
+   outcome can only change when one of its candidate outputs is released
+   (releases happen only in the eject/traversal phases, claims only
+   earlier in the same loop), so blocked sites sleep (state ``_ASLEEP``)
+   until a release of one of their candidates wakes them.
    Failed attempts are side-effect-free in the reference (the ``first``
    selection consumes no RNG), so skipping them is exact.
 3. **traversal** — fully batched.  Per-link round-robin arbitration
@@ -84,8 +102,10 @@ Phase semantics (mirrored decision for decision)
    independent (an output wire belongs to exactly one link, each link
    admits one winner), so every link's winner — ``requests[cycle %
    len(requests)]`` against the phase-start space snapshot — is computed
-   at once with a stable sort + group boundaries, and the moves execute
-   as array scatters.  Sources and outputs are each unique within a
+   at once with a stable sort + group boundaries (skipped on networks
+   whose links each carry one wire, and in a cycle where no link has
+   two requests: every request then wins), and the moves execute as
+   array scatters.  Sources and outputs are each unique within a
    cycle and a same-wire pop+push commutes to the same ring state, so
    batch order cannot diverge from the reference's sequential one.
 
@@ -134,6 +154,11 @@ __all__ = ["VectorSimulator", "run_batch"]
 
 #: Sentinel arrival cycle for injection rows: always pipeline-ready.
 _ALWAYS_READY = -(1 << 40)
+
+#: Site states: what a site's front does next (``_state``).  A ring slot
+#: holds the state its flit takes at the front (``_HOME``, ``_GO`` or
+#: ``_WANT``), or ``_IDLE`` when empty.
+_IDLE, _HOME, _GO, _WANT, _ASLEEP = 0, 1, 2, 3, 4
 
 #: No sites moved (the phases return the sites they moved).
 _NO_SITES = np.empty(0, dtype=np.int64)
@@ -199,7 +224,10 @@ class VectorSimulator:
             (w.src, w.dst, w.channel): i for i, w in enumerate(wires)
         }
         self._nodes: tuple[Coord, ...] = tuple(topology.nodes)
+        #: Node -> index; failed routers are not nodes, so one lookup
+        #: tells a packet's routers apart from dead or unknown ones.
         self._nindex: dict[Coord, int] = {n: i for i, n in enumerate(self._nodes)}
+        self._dead = frozenset(getattr(topology, "failed_nodes", ()))
         R = self._replicas
         W0 = len(wires)
         N0 = len(self._nodes)
@@ -217,59 +245,63 @@ class VectorSimulator:
         )
         self._wbase: list[int] = (self._site_rep * W0).tolist()
 
-        #: Destination router of each site, local to its replica (-1 for
-        #: injection rows, which never eject and always count as "not
-        #: yet home").
-        self._wdst = np.full(X, -1, dtype=np.int64)
-        self._wdst[:W] = np.tile(
-            np.fromiter((self._nindex[w.dst] for w in wires), dtype=np.int64, count=W0),
-            R,
+        #: Destination router of each wire, local to its replica.
+        self._wdst = np.tile(
+            np.fromiter((self._nindex[w.dst] for w in wires), dtype=np.int64, count=W0), R
         )
         links = sorted({w.link for w in wires})
         lindex = {link: i for i, link in enumerate(links)}
         wlink = np.fromiter((lindex[w.link] for w in wires), dtype=np.int64, count=W0)
         self._wlink = (wlink + len(links) * np.arange(R)[:, None]).ravel()
+        #: Some link carries several wires (virtual channels), so two
+        #: requests can meet on one link and need round-robin arbitration.
+        self._shared_links = len(links) < W0
 
         depth = buffer_depth
-        self._buf_pid = np.full((W, depth), -1, dtype=np.int64)
-        self._buf_seq = np.zeros((W, depth), dtype=np.int64)
-        self._buf_arr = np.zeros((W, depth), dtype=np.int64)
-        self._head = np.zeros(W, dtype=np.int64)
-        self._blen = np.zeros(W, dtype=np.int64)
+        self._buf_pid = np.zeros(W * depth, dtype=np.int64)
+        self._buf_seq = np.zeros(W * depth, dtype=np.int64)
+        self._buf_state = np.zeros(W * depth, dtype=np.int8)
+        self._hpos = np.arange(W, dtype=np.int64) * depth
+        self._tpos = self._hpos.copy()
+        self._next_slot = np.arange(1, W * depth + 1, dtype=np.int64)
+        self._next_slot[depth - 1::depth] -= depth
 
-        #: Front mirrors over all sites (wire rows valid where _blen > 0,
-        #: injection rows valid where _fpid >= 0).
+        #: Front mirrors over all sites (valid where the state is not idle).
         self._fpid = np.full(X, -1, dtype=np.int64)
         self._fseq = np.zeros(X, dtype=np.int64)
-        self._farr = np.zeros(X, dtype=np.int64)
-        self._farr[W:] = _ALWAYS_READY
-        self._fdst = np.full(X, -1, dtype=np.int64)
-        self._route_pid = np.full(X, -1, dtype=np.int64)
+        #: Arrival stamps, read only by the pipeline-ready tests.
+        self._buf_arr: np.ndarray | None = None
+        self._farr: np.ndarray | None = None
+        if pipeline_delay:
+            self._buf_arr = np.zeros(W * depth, dtype=np.int64)
+            self._farr = np.zeros(X, dtype=np.int64)
+            self._farr[W:] = _ALWAYS_READY
         self._route_out = np.full(X, -1, dtype=np.int64)
+        self._state = np.zeros(X, dtype=np.int8)
 
         #: Wormhole ownership per output wire (an array: the batched
         #: resolver gathers and scatters it by output index).
         self._owner = np.full(W, -1, dtype=np.int64)
-        #: Cached first (sole) routing candidate of each site's current
+        #: Cached first (sole) routing candidate of each wanting site's
         #: front, or -2 when unknown / not a singleton.  Lets the
         #: allocation phase batch-resolve when every pending site has a
-        #: known single candidate; invalidated on every front change.
+        #: known single candidate; set whenever a head is exposed.
         self._pref_out = np.full(X, -2, dtype=np.int64)
-        #: Allocation-retry suppression: sites asleep until a candidate
-        #: output is released, and the reverse map release -> sleepers.
-        self._blocked = np.zeros(X, dtype=bool)
+        #: Allocation-retry suppression: the sites asleep on each output
+        #: wire, woken when it is released.
         self._consumers: list[set[int]] = [set() for _ in range(W)]
 
         #: source row (replica offset + node index) -> deque of packet
         #: indices; only non-empty queues.
         self._queues: dict[int, deque[int]] = {}
 
-        #: Packet table (struct of arrays, grown by doubling), plus a
-        #: plain-list mirror of the destination index for the scalar
-        #: lookups in the allocation loop.
+        #: Packet table (struct of arrays, grown by doubling): destination
+        #: index and last flit sequence number, plus a plain-list mirror
+        #: of the destination for the scalar lookups in the allocation
+        #: loop.
         self._p_cap = 1024
         self._p_dst = np.zeros(self._p_cap, dtype=np.int64)
-        self._p_len = np.ones(self._p_cap, dtype=np.int64)
+        self._p_last = np.zeros(self._p_cap, dtype=np.int64)
         self._pl_dst: list[int] = []
         self._n_packets = 0
         self._ipackets: list[Packet] = []
@@ -319,16 +351,15 @@ class VectorSimulator:
         #: Replicas still stepping, ascending.
         self._running = list(range(R))
         self.stats = self._stats[0]
-        #: Per replica: views of its wire FIFO lengths and injection-row
-        #: fronts (the arrays never reallocate), for the watchdog's test.
-        self._blen_of = [self._blen[r * W0:(r + 1) * W0] for r in range(R)]
-        self._inj_fpid_of = [self._fpid[W + r * N0:W + (r + 1) * N0] for r in range(R)]
+        #: Per replica: its wire sites and its injection rows.
+        self._wires_of = [slice(r * W0, (r + 1) * W0) for r in range(R)]
+        self._rows_of = [slice(W + r * N0, W + (r + 1) * N0) for r in range(R)]
 
     # -- state queries ----------------------------------------------------------
 
     def flits_in_network(self) -> int:
         """Flits currently buffered in wires."""
-        return int(self._blen.sum())
+        return int(np.count_nonzero(self._buf_state))
 
     def packets_in_flight(self) -> int:
         """Packets injected but not fully delivered."""
@@ -341,13 +372,14 @@ class VectorSimulator:
     def _network_active(self, r: int) -> bool:
         queues = self._queues
         lo = r * self._N0
+        state = self._state
         return (
             (
                 bool(queues)
                 and (self._replicas == 1 or any(lo <= n < lo + self._N0 for n in queues))
             )
-            or bool((self._inj_fpid_of[r] >= 0).any())
-            or bool(self._blen_of[r].any())
+            or bool(np.count_nonzero(state[self._rows_of[r]]))
+            or bool(np.count_nonzero(state[self._wires_of[r]]))
         )
 
     # -- traffic entry ------------------------------------------------------------
@@ -358,37 +390,41 @@ class VectorSimulator:
 
     def _offer(self, r: int, packet: Packet) -> None:
         stats = self._stats[r]
-        dead = getattr(self.topology, "failed_nodes", ())
-        if packet.src in dead or packet.dst in dead:
-            stats.packets_injected += 1
-            stats.packets_lost += 1
-            return
-        if packet.waypoints:
-            raise unsupported(resolve_backend("vector"), "multicast waypoints")
-        self.topology.validate_node(packet.src)
-        self.topology.validate_node(packet.dst)
-        ip = self._add_packet(packet)
-        src = r * self._N0 + self._nindex[packet.src]
+        nindex = self._nindex
+        src = nindex.get(packet.src)
+        dst = nindex.get(packet.dst)
+        if src is None or dst is None or packet.waypoints:
+            if packet.src in self._dead or packet.dst in self._dead:
+                stats.packets_injected += 1
+                stats.packets_lost += 1
+                return
+            if packet.waypoints:
+                raise unsupported(resolve_backend("vector"), "multicast waypoints")
+            self.topology.validate_node(packet.src)
+            self.topology.validate_node(packet.dst)
+            src = nindex[packet.src]
+            dst = nindex[packet.dst]
+        ip = self._add_packet(packet, dst)
+        src += r * self._N0
         queue = self._queues.get(src)
         if queue is None:
             queue = self._queues[src] = deque()
-            if self._fpid[self._W + src] < 0:
+            if not self._state[self._W + src]:
                 self._ready_inj.add(src)
         queue.append(ip)
         stats.packets_injected += 1
 
-    def _add_packet(self, packet: Packet) -> int:
+    def _add_packet(self, packet: Packet, dst: int) -> int:
         ip = self._n_packets
         if ip >= self._p_cap:
             self._p_cap *= 2
-            for name in ("_p_dst", "_p_len"):
+            for name in ("_p_dst", "_p_last"):
                 old = getattr(self, name)
                 grown = np.zeros(self._p_cap, dtype=np.int64)
                 grown[:ip] = old
                 setattr(self, name, grown)
-        dst = self._nindex[packet.dst]
         self._p_dst[ip] = dst
-        self._p_len[ip] = packet.length
+        self._p_last[ip] = packet.length - 1
         self._pl_dst.append(dst)
         self._n_packets = ip + 1
         self._ipackets.append(packet)
@@ -417,9 +453,8 @@ class VectorSimulator:
         else:
             rep = self._site_rep
             R = self._replicas
-            moves = (
-                np.bincount(rep[ejected], minlength=R)
-                + np.bincount(rep[moved], minlength=R)
+            moves = np.bincount(
+                rep[np.concatenate((ejected, moved))], minlength=R
             ).tolist()
         cycle = self.cycle
         stall = self._stall
@@ -444,77 +479,86 @@ class VectorSimulator:
     def _park(self, r: int) -> None:
         """Take replica ``r`` out of every phase; its stats stay as they are."""
         self._running.remove(r)
-        N0 = self._N0
-        self._blen_of[r][:] = 0
-        self._inj_fpid_of[r][:] = -1
-        self._route_pid[self._W + r * N0:self._W + (r + 1) * N0] = -1
-        for n in range(r * N0, (r + 1) * N0):
+        wires, rows = self._wires_of[r], self._rows_of[r]
+        depth = self.buffer_depth
+        self._buf_state[wires.start * depth:wires.stop * depth] = _IDLE
+        self._tpos[wires] = self._hpos[wires]
+        self._state[wires] = _IDLE
+        self._state[rows] = _IDLE
+        for n in range(r * self._N0, (r + 1) * self._N0):
             self._queues.pop(n, None)
             self._ready_inj.discard(n)
 
-    def _refresh_fronts(self, idxs: np.ndarray) -> None:
-        """Re-mirror the front flit of the given wires from the ring state."""
-        pos = self._head[idxs]
-        pids = self._buf_pid[idxs, pos]
+    def _pop_fronts(self, idxs: np.ndarray) -> None:
+        """Pop the front flit of the given wires; mirror their new fronts."""
+        pos = self._hpos[idxs]
+        self._buf_state[pos] = _IDLE
+        pos = self._next_slot[pos]
+        self._hpos[idxs] = pos
+        pids = self._buf_pid[pos]
         self._fpid[idxs] = pids
-        seqs = self._buf_seq[idxs, pos]
-        self._fseq[idxs] = seqs
-        self._farr[idxs] = self._buf_arr[idxs, pos]
-        dsts = self._p_dst[pids]
-        self._fdst[idxs] = dsts
-        pref = self._pref_out
-        pref[idxs] = -2
-        if self._fast_target:
-            # Eagerly cache the sole candidate of newly exposed heads so
-            # the allocation phase can batch-resolve them.
-            heads = (seqs == 0) & (self._blen[idxs] > 0) & (dsts != self._wdst[idxs])
-            if heads.any():
-                cand_of_site = self._cand_of_site
-                wbase = self._wbase
-                for w, dst in zip(idxs[heads].tolist(), dsts[heads].tolist()):
-                    outs = cand_of_site[w].get(dst)
-                    if outs is not None and len(outs) == 1:
-                        pref[w] = outs[0] + wbase[w]
+        self._fseq[idxs] = self._buf_seq[pos]
+        if self._farr is not None:
+            self._farr[idxs] = self._buf_arr[pos]
+        state = self._buf_state[pos]
+        self._state[idxs] = state
+        self._expose_heads(idxs, pids, state == _WANT)
 
-    def _release(self, sites) -> None:
+    def _expose_heads(self, sites: np.ndarray, pids: np.ndarray, want: np.ndarray) -> None:
+        """Cache the sole candidate of the newly exposed heads ``sites[want]``,
+        so the allocation phase can batch-resolve them."""
+        if not np.count_nonzero(want):
+            return
+        sites = sites[want]
+        pref = self._pref_out
+        if not self._fast_target:
+            pref[sites] = -2
+            return
+        cand_of_site = self._cand_of_site
+        pl_dst = self._pl_dst
+        wbase = self._wbase
+        pref[sites] = [
+            outs[0] + wbase[w]
+            if (outs := cand_of_site[w].get(pl_dst[ip])) is not None and len(outs) == 1
+            else -2
+            for w, ip in zip(sites.tolist(), pids[want].tolist())
+        ]
+
+    def _release(self, outs: np.ndarray) -> None:
         """Release wormhole ownership of output wires; wake their sleepers."""
-        owner = self._owner
-        blocked = self._blocked
+        self._owner[outs] = -1
         consumers = self._consumers
-        for o in sites:
-            owner[o] = -1
+        state = self._state
+        for o in outs.tolist():
             sleepers = consumers[o]
             if sleepers:
                 for k in sleepers:
-                    blocked[k] = False
+                    if state[k] == _ASLEEP:
+                        state[k] = _WANT
                 sleepers.clear()
 
     # -- phase 1: ejection ---------------------------------------------------------
 
     def _eject_phase(self) -> np.ndarray:
-        W = self._W
-        fdst = self._fdst[:W]
-        eject = (self._blen > 0) & (fdst == self._wdst[:W])
-        if self.pipeline_delay:
+        eject = self._state[:self._W] == _HOME
+        if self._farr is not None:
             # With no pipeline delay the readiness test is a tautology —
             # every buffered front arrived in an earlier cycle.
-            eject &= self._farr[:W] <= self.cycle - 1 - self.pipeline_delay
-        idxs = np.nonzero(eject)[0]
+            eject &= self._farr[:self._W] <= self.cycle - 1 - self.pipeline_delay
+        idxs = eject.nonzero()[0]
         if idxs.size == 0:
             return idxs
         pids = self._fpid[idxs]
-        tails = self._fseq[idxs] == self._p_len[pids] - 1
-        self._head[idxs] = (self._head[idxs] + 1) % self.buffer_depth
-        self._blen[idxs] -= 1
-        self._refresh_fronts(idxs)
-        if tails.any():
+        tails = self._fseq[idxs] == self._p_last[pids]
+        self._pop_fronts(idxs)
+        if np.count_nonzero(tails):
             stats = self._stats
             W0 = self._W0
             cyc = self.cycle
-            released = idxs[tails].tolist()
-            # np.nonzero order is ascending wire order — each replica's
+            released = idxs[tails]
+            # nonzero order is ascending wire order — each replica's
             # reference latency-append order.
-            for w, ip in zip(released, pids[tails].tolist()):
+            for w, ip in zip(released.tolist(), pids[tails].tolist()):
                 packet = self._ipackets[ip]
                 packet.delivered = cyc
                 assert packet.entered is not None
@@ -531,38 +575,22 @@ class VectorSimulator:
         # Allocation is order-dependent (an earlier site claiming an
         # output changes what later ones see), and the reference order is
         # wires ascending, then source nodes in topology order — which is
-        # exactly ascending site index.  Collect every site needing a
-        # route this cycle into one ascending array, then resolve.
-        W = self._W
-        fpid = self._fpid
-        route_pid = self._route_pid
-        blocked = self._blocked
-        pref = self._pref_out
-
-        need = (
-            (self._blen > 0)
-            & (self._fseq[:W] == 0)
-            & (self._fdst[:W] != self._wdst[:W])
-            & (route_pid[:W] != fpid[:W])
-            & ~blocked[:W]
-        )
-        wire_pending = np.nonzero(need)[0]
-
-        # Injection rows: parked-then-woken heads, plus new heads popped
-        # from their source queues (popping has no allocation side
-        # effects, so doing it before the resolve preserves order).
-        stuck = np.nonzero((fpid[W:] >= 0) & (route_pid[W:] < 0) & ~blocked[W:])[0]
+        # exactly ascending site index.  New heads popped from their
+        # source queues join the wanting sites (popping has no allocation
+        # side effects, so doing it before the resolve preserves order).
+        state = self._state
         ready = self._ready_inj
         if ready:
+            W = self._W
+            fpid = self._fpid
+            fseq = self._fseq
+            pref = self._pref_out
             queues = self._queues
             pl_dst = self._pl_dst
-            fseq = self._fseq
-            fdst = self._fdst
             cand_of_site = self._cand_of_site
             wbase = self._wbase
             fast = self._fast_target
-            popped: list[int] = []
-            for n in sorted(ready):
+            for n in ready:
                 queue = queues[n]
                 ip = queue.popleft()
                 if not queue:
@@ -570,12 +598,9 @@ class VectorSimulator:
                 site = W + n
                 fpid[site] = ip
                 fseq[site] = 0
-                route_pid[site] = -1
-                popped.append(site)
-                dst = pl_dst[ip]
-                fdst[site] = dst
+                state[site] = _WANT
                 if fast:
-                    single = cand_of_site[site].get(dst)
+                    single = cand_of_site[site].get(pl_dst[ip])
                     pref[site] = (
                         single[0] + wbase[site]
                         if single is not None and len(single) == 1
@@ -584,58 +609,30 @@ class VectorSimulator:
                 else:
                     pref[site] = -2
             ready.clear()
-            inj = np.array(popped, dtype=np.int64)
-            if stuck.size:
-                inj = np.concatenate((stuck + W, inj))
-                inj.sort()
-        elif stuck.size:
-            inj = stuck + W
-        else:
-            inj = None
 
-        if inj is None:
-            pending = wire_pending
-        elif wire_pending.size:
-            pending = np.concatenate((wire_pending, inj))
-        else:
-            pending = inj
+        pending = (state == _WANT).nonzero()[0]
         if pending.size == 0:
             return
-
-        prefs = pref[pending]
-        cold = np.nonzero(prefs < 0)[0]
+        prefs = self._pref_out[pending]
+        cold = (prefs < 0).nonzero()[0]
         if cold.size:
             # Warm the cold sites' memos first — a pure routing lookup
             # with no allocation side effects, so phase order is
             # preserved.  Under deterministic routing every candidate
             # set is a singleton, and one cold uniform-traffic
             # destination must not force the whole phase onto the
-            # serial loop.  A dead-end stops its replica on the first
-            # one in that replica's reference order, as a solo run
-            # raises it; the other replicas allocate on.
-            single = True
-            failed: dict[int, RoutingError] = {}
+            # serial loop.  The first head with several candidates, or
+            # a dead-end, does: the serial loop warms the rest itself.
             sites = pending[cold]
-            for site, ip in zip(sites.tolist(), fpid[sites].tolist()):
+            for site, ip in zip(sites.tolist(), self._fpid[sites].tolist()):
                 try:
-                    outs = self._outs_of(site, ip)
-                except RoutingError as exc:
-                    failed.setdefault(int(self._site_rep[site]), exc)
-                    continue
-                if len(outs) != 1:
-                    single = False
-            if failed:
-                for r, exc in failed.items():
-                    self._fail(r, exc)
-                pending = pending[
-                    np.isin(self._site_rep[pending], list(failed), invert=True)
-                ]
-                if pending.size == 0:
+                    several = len(self._outs_of(site, ip)) != 1
+                except RoutingError:
+                    several = True
+                if several:
+                    self._resolve_serial(pending)
                     return
-            if not single:
-                self._resolve_serial(pending)
-                return
-            prefs = pref[pending]
+            prefs = self._pref_out[pending]
         self._resolve_single(pending, prefs)
 
     def _resolve_single(self, pending: np.ndarray, prefs: np.ndarray) -> None:
@@ -649,23 +646,21 @@ class VectorSimulator:
         Python attempt loop would dominate the whole cycle.
         """
         owner = self._owner
-        order = np.argsort(prefs, kind="stable")
+        order = prefs.argsort(kind="stable")
         po = prefs[order]
         first = np.empty(po.size, dtype=bool)
         first[0] = True
         np.not_equal(po[1:], po[:-1], out=first[1:])
         win = first & (owner[po] < 0)
-        widx = order[win]
-        ws = pending[widx]
+        ws = pending[order[win]]
         wouts = po[win]
-        ips = self._fpid[ws]
-        owner[wouts] = ips
-        self._route_pid[ws] = ips
+        owner[wouts] = self._fpid[ws]
         self._route_out[ws] = wouts
-        if not win.all():
+        self._state[ws] = _GO
+        if np.count_nonzero(win) < win.size:
             lose = ~win
             ls = pending[order[lose]]
-            self._blocked[ls] = True
+            self._state[ls] = _ASLEEP
             consumers = self._consumers
             for s, o in zip(ls.tolist(), po[lose].tolist()):
                 consumers[o].add(s)
@@ -673,9 +668,10 @@ class VectorSimulator:
     def _resolve_serial(self, pending: np.ndarray) -> None:
         """Reference-order attempt loop (some head has several outputs).
 
-        Every pending site's memo is warm and no dead-end (the allocation
-        phase warmed them and stopped the replicas that hit one), so no
-        attempt here raises.
+        Every pending site leaves the loop routed or asleep, or hits a
+        routing dead-end.  A dead-end stops its replica on the first one
+        in that replica's reference order, as a solo run raises it; the
+        other replicas allocate on.
         """
         owner = self._owner
         pl_dst = self._pl_dst
@@ -683,12 +679,17 @@ class VectorSimulator:
         cand_of_site = self._cand_of_site
         wbase = self._wbase
         pref = self._pref_out
-        route_pid = self._route_pid
         route_out = self._route_out
+        state = self._state
+        failed: dict[int, RoutingError] = {}
         for site, ip in zip(pending.tolist(), self._fpid[pending].tolist()):
             outs = cand_of_site[site].get(pl_dst[ip], False) if fast else False
             if outs is False or outs is None:
-                out = self._alloc(site, ip)
+                try:
+                    out = self._alloc(site, ip)
+                except RoutingError as exc:
+                    failed.setdefault(int(self._site_rep[site]), exc)
+                    continue
             else:
                 base = wbase[site]
                 if len(outs) == 1:
@@ -702,12 +703,14 @@ class VectorSimulator:
                 if out < 0:
                     self._sleep(site, outs, base)
             if out >= 0:
-                route_pid[site] = ip
                 route_out[site] = out
+                state[site] = _GO
+        for r, exc in failed.items():
+            self._fail(r, exc)
 
     def _sleep(self, site: int, outs, base: int) -> None:
         """Park a blocked site until one of its candidate outputs frees."""
-        self._blocked[site] = True
+        self._state[site] = _ASLEEP
         consumers = self._consumers
         for o in outs:
             consumers[o + base].add(site)
@@ -789,53 +792,56 @@ class VectorSimulator:
     # -- phase 3: switch allocation and traversal --------------------------------------
 
     def _traversal_phase(self) -> np.ndarray:
-        # Requests over all sites at once; np.nonzero yields wires
-        # ascending then source nodes in topology order — exactly the
-        # reference's gather order.
-        W = self._W
-        fpid = self._fpid
-        active = np.empty(fpid.size, dtype=bool)
-        np.greater(self._blen, 0, out=active[:W])
-        np.greater_equal(fpid[W:], 0, out=active[W:])
-        req = active & (self._fdst != self._wdst) & (self._route_pid == fpid)
-        if self.pipeline_delay:
+        # Requests over all sites at once; nonzero yields wires ascending
+        # then source nodes in topology order — exactly the reference's
+        # gather order.
+        req = self._state == _GO
+        if self._farr is not None:
             # Tautological at delay 0: buffered fronts arrived in the past.
             req &= self._farr <= self.cycle - 1 - self.pipeline_delay
-        srcs = np.nonzero(req)[0]
+        srcs = req.nonzero()[0]
         if srcs.size == 0:
             return srcs
         outs = self._route_out[srcs]
 
-        # Credit gate against the phase-start space snapshot.  Winners
-        # only ever consume space on their own link's wires, and each
-        # link admits one winner, so the snapshot filter is exactly the
-        # reference's sequential space bookkeeping.
-        open_slots = self._blen[outs] < self.buffer_depth
-        if not open_slots.any():
-            return _NO_SITES
-        srcs = srcs[open_slots]
-        outs = outs[open_slots]
+        # Credit gate against the phase-start space snapshot (a wire is
+        # full when its next free slot holds a flit).  Winners only ever
+        # consume space on their own link's wires, and each link admits
+        # one winner, so the snapshot filter is exactly the reference's
+        # sequential space bookkeeping.
+        full = self._buf_state[self._tpos[outs]] != _IDLE
+        n_full = np.count_nonzero(full)
+        if n_full:
+            if n_full == full.size:
+                return _NO_SITES
+            open_slots = ~full
+            srcs = srcs[open_slots]
+            outs = outs[open_slots]
 
-        # Batched per-link round robin: stable sort groups each link's
-        # requests in gather order; winner = requests[cycle % count].
-        links = self._wlink[outs]
-        order = np.argsort(links, kind="stable")
-        sorted_links = links[order]
-        boundary = np.empty(sorted_links.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_links[1:], sorted_links[:-1], out=boundary[1:])
-        starts = np.nonzero(boundary)[0]
-        counts = np.empty_like(starts)
-        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = sorted_links.size - starts[-1]
-        winners = order[starts + self.cycle % counts]
-        # Execution order is irrelevant (sources and outputs are unique,
-        # same-wire pop+push commutes); ascending sources let the wire /
-        # injection split below be prefix slices instead of mask copies.
-        winners.sort()
-        moved = srcs[winners]
-        self._execute_moves(moved, outs[winners])
-        return moved
+        if self._shared_links:
+            # Batched per-link round robin: stable sort groups each link's
+            # requests in gather order; winner = requests[cycle % count].
+            links = self._wlink[outs]
+            order = links.argsort(kind="stable")
+            sorted_links = links[order]
+            boundary = np.empty(sorted_links.size, dtype=bool)
+            boundary[0] = True
+            np.not_equal(sorted_links[1:], sorted_links[:-1], out=boundary[1:])
+            starts = boundary.nonzero()[0]
+            if starts.size < boundary.size:  # some link has several requests
+                counts = np.empty_like(starts)
+                np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+                counts[-1] = sorted_links.size - starts[-1]
+                winners = order[starts + self.cycle % counts]
+                # Execution order is irrelevant (sources and outputs are
+                # unique, same-wire pop+push commutes); ascending sources
+                # let the wire / injection split below be prefix slices
+                # instead of mask copies.
+                winners.sort()
+                srcs = srcs[winners]
+                outs = outs[winners]
+        self._execute_moves(srcs, outs)
+        return srcs
 
     def _execute_moves(self, srcs, outs) -> None:
         """Apply all winning moves as array scatters.
@@ -846,7 +852,6 @@ class VectorSimulator:
         link-by-link sequential execution exactly.
         """
         cyc = self.cycle
-        depth = self.buffer_depth
         W = self._W
         fpid = self._fpid
         fseq = self._fseq
@@ -855,78 +860,68 @@ class VectorSimulator:
         # ascending, so wires are the prefix and injections the suffix.
         all_ip = fpid[srcs]
         all_seq = fseq[srcs]
-        all_tail = all_seq == self._p_len[all_ip] - 1
-        k = int(np.searchsorted(srcs, W))
+        all_tail = all_seq == self._p_last[all_ip]
+        k = int(srcs.searchsorted(W))
 
         # Pops from wire buffers.
-        wsrc = srcs[:k]
         if k:
-            pos = self._head[wsrc]
-            self._head[wsrc] = (pos + 1) % depth
-            self._blen[wsrc] -= 1
-            self._refresh_fronts(wsrc)
+            self._pop_fronts(srcs[:k])
 
         # Pops from injecting source nodes.
-        isrc = srcs[k:]
-        if isrc.size:
-            fseq[isrc] += 1
-            fresh = all_seq[k:] == 0
-            if fresh.any():
-                packets = self._ipackets
-                for ip in all_ip[k:][fresh].tolist():
+        if k < srcs.size:
+            fseq[srcs[k:]] += 1
+            packets = self._ipackets
+            for ip, seq in zip(all_ip[k:].tolist(), all_seq[k:].tolist()):
+                if seq == 0:
                     packets[ip].entered = cyc
 
-        # Tails leaving a site clear its route assignment; a finished
-        # injection row also empties (re-arming its source queue), and an
-        # atomic source wire releases.
-        if all_tail.any():
+        # A tail leaving a finished injection row empties it (re-arming
+        # its source queue), and an atomic source wire releases.
+        tails = np.count_nonzero(all_tail)
+        if tails:
             tsite = srcs[all_tail]
-            self._route_pid[tsite] = -1
-            self._route_out[tsite] = -1
-            kt = int(np.searchsorted(tsite, W))
-            done = tsite[kt:]
-            if done.size:
-                fpid[done] = -1
+            kt = int(tsite.searchsorted(W))
+            if kt < tsite.size:
+                done = tsite[kt:]
+                self._state[done] = _IDLE
                 queues = self._queues
                 ready = self._ready_inj
-                for n in (done - W).tolist():
-                    if n in queues:
-                        ready.add(n)
+                for site in done.tolist():
+                    if site - W in queues:
+                        ready.add(site - W)
             if self.atomic_buffers and kt:
-                self._release(tsite[:kt].tolist())
+                self._release(tsite[:kt])
 
-        # Pushes into the output wires (unique: one winner per link).
-        slot = (self._head[outs] + self._blen[outs]) % depth
-        self._buf_pid[outs, slot] = all_ip
-        self._buf_seq[outs, slot] = all_seq
-        self._buf_arr[outs, slot] = cyc
-        was_empty = self._blen[outs] == 0
-        self._blen[outs] += 1
-        if was_empty.any():
-            fresh_out = outs[was_empty]
-            f_ip = all_ip[was_empty]
-            f_seq = all_seq[was_empty]
-            fpid[fresh_out] = f_ip
-            fseq[fresh_out] = f_seq
-            self._farr[fresh_out] = cyc
-            f_dst = self._p_dst[f_ip]
-            self._fdst[fresh_out] = f_dst
-            pref = self._pref_out
-            pref[fresh_out] = -2
-            if self._fast_target:
-                heads = (f_seq == 0) & (f_dst != self._wdst[fresh_out])
-                if heads.any():
-                    cand_of_site = self._cand_of_site
-                    wbase = self._wbase
-                    for w, dst in zip(
-                        fresh_out[heads].tolist(), f_dst[heads].tolist()
-                    ):
-                        single = cand_of_site[w].get(dst)
-                        if single is not None and len(single) == 1:
-                            pref[w] = single[0] + wbase[w]
-        if not self.atomic_buffers and all_tail.any():
+        # Pushes into the output wires (unique: one winner per link).  A
+        # flit's state at the front of its new wire: home if the wire ends
+        # at its destination, else a head wants a route and a body flit
+        # follows its head's.
+        slot = self._tpos[outs]
+        self._buf_pid[slot] = all_ip
+        self._buf_seq[slot] = all_seq
+        if self._buf_arr is not None:
+            self._buf_arr[slot] = cyc
+        code = (all_seq == 0) + _GO
+        code[self._p_dst[all_ip] == self._wdst[outs]] = _HOME
+        self._buf_state[slot] = code
+        self._tpos[outs] = self._next_slot[slot]
+        was_empty = self._state[outs] == _IDLE
+        fresh = np.count_nonzero(was_empty)
+        if fresh:
+            f_out, f_ip, f_seq = outs, all_ip, all_seq
+            if fresh < outs.size:
+                f_out, f_ip, f_seq, code = (
+                    outs[was_empty], all_ip[was_empty], all_seq[was_empty], code[was_empty]
+                )
+            fpid[f_out] = f_ip
+            fseq[f_out] = f_seq
+            if self._farr is not None:
+                self._farr[f_out] = cyc
+            self._state[f_out] = code
+            self._expose_heads(f_out, f_ip, code == _WANT)
+        if not self.atomic_buffers and tails:
             # EbDa-relaxed: re-allocatable once the tail is buffered.
-            self._release(outs[all_tail].tolist())
+            self._release(outs[all_tail])
 
     # -- driving loop ----------------------------------------------------------------
 

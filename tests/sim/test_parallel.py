@@ -190,6 +190,22 @@ class TestEngineValidation:
         with pytest.raises(RoutingError):
             SweepEngine().sweep(mesh4, object(), RATES, _config())
 
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_accepts_a_ready_routing_function(self, mesh4, backend):
+        from repro.sim.specs import resolve_routing_factory
+
+        routing = resolve_routing_factory("west-first")(mesh4)
+        config = _config(backend=backend)
+        swept = SweepEngine().sweep(mesh4, routing, RATES, config)
+        ran = SweepEngine().run_many(
+            [(mesh4, routing, config.with_rate(rate)) for rate in RATES]
+        )
+        assert [r.stats.to_dict() for r in swept.results] == [
+            r.stats.to_dict() for r in ran.results
+        ]
+        assert [r.config.injection_rate for r in swept.results] == RATES
+        assert all(r.stats.packets_delivered > 0 for r in swept.results)
+
 
 class TestTelemetry:
     def test_stage_times_in_report_and_dict(self, mesh4):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError, EbdaError, RoutingError, SimulationError
+from repro.errors import ConfigError, EbdaError, RoutingError, SimulationError, TopologyError
 from repro.fuzz.corpus import load_entry
 from repro.routing import (
     MinimalFullyAdaptive,
@@ -27,6 +27,7 @@ from repro.core.torus_designs import dateline_design
 from repro.sim import (
     NetworkSimulator,
     RunConfig,
+    ScriptedTraffic,
     SweepEngine,
     TrafficConfig,
     TrafficGenerator,
@@ -35,7 +36,8 @@ from repro.sim import (
 )
 from repro.sim.specs import NAMED_ROUTING_FACTORIES, resolve_routing_factory
 from repro.sim.vector import _Batch, run_batch
-from repro.topology import Mesh, Torus
+from repro.routing.updown import UpDownRouting
+from repro.topology import FaultyMesh, Mesh, Torus
 from repro.topology.classes import NAMED_RULES, no_classes, rule_for_design
 
 COMMITTED_CORPUS = Path(__file__).parents[1] / "fuzz" / "corpus"
@@ -202,6 +204,12 @@ def _bernoulli(topology, rate, seed):
     )
 
 
+def _saturating(topology, rate, seed):
+    return lambda: TrafficGenerator(
+        topology, TrafficConfig(injection_rate=rate, packet_length=8, seed=seed)
+    )
+
+
 def _witness_network(stem):
     design = load_entry(COMMITTED_CORPUS / f"{stem}.json").design
     seq, turnset = design.compile()
@@ -353,6 +361,48 @@ class TestBatchParity:
                 [(10, _bernoulli(mesh4, 0.1, 0)())], selection=object(),
             )
 
+    # Arrival stamps exist only at pipeline delay > 0; these runs read them.
+
+    @pytest.mark.parametrize("delay", [1, 2])
+    def test_pipeline_delay_saturated_multi_candidate(self, delay):
+        # V2's stress regime: long worms, shallow buffers, saturating load.
+        topology = Mesh(4, 4)
+        routing = resolve_routing_factory("west-first-vcs")(topology)
+        runs = [(300, _saturating(topology, rate, seed))
+                for rate, seed in ((0.32, 1), (0.2, 2), (0.32, 3))]
+        triples = batch_vs_solo(
+            topology, routing, rule_for_design("west-first-vcs"), runs,
+            pipeline_delay=delay, buffer_depth=2, watchdog=200,
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+            assert 0 < got["packets_delivered"] < got["packets_injected"] // 2
+
+    @pytest.mark.parametrize("delay", [1, 2])
+    def test_pipeline_delay_replicas_with_different_cycle_limits(self, mesh4, delay):
+        limits = (120, 400, 0, 1, 250)
+        triples = batch_vs_solo(
+            mesh4, MinimalFullyAdaptive(mesh4), no_classes,
+            [(cycles, _bernoulli(mesh4, 0.12, seed)) for seed, cycles in enumerate(limits)],
+            drain=[True, False, True, False, False], pipeline_delay=delay,
+        )
+        for cycles, (got, solo, ref) in zip(limits, triples):
+            assert got == solo == ref
+        assert [got["cycles"] for got, _, _ in triples][1:] == [400, 0, 1, 250]
+
+    @pytest.mark.parametrize("delay", [1, 2])
+    def test_pipeline_delay_atomic_buffers(self, mesh4, delay):
+        routing = TurnTableRouting(mesh4, catalog.p3_west_first())
+        triples = batch_vs_solo(
+            mesh4, routing, no_classes,
+            [(300, _bernoulli(mesh4, rate, seed)) for rate, seed in ((0.15, 1), (0.3, 2))],
+            atomic_buffers=True, pipeline_delay=delay, buffer_depth=2,
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+            assert got["packets_delivered"] > 0
+
+
 
 class TestSweepBatches:
     """A sweep's vector misses on one network run as one batch kernel and
@@ -451,6 +501,50 @@ class TestOneKernel:
             node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
         }
         assert "vector" not in constants
+
+
+class TestOfferPath:
+    """Both backends treat unknown and failed routers alike, solo and batched."""
+
+    @pytest.mark.parametrize(
+        "src,dst", [((9, 9), (0, 0)), ((0, 0), (4, 0)), ((1, 1), (0, -1))]
+    )
+    def test_unknown_router_raises_the_same_error(self, mesh4, src, dst):
+        def traffic():
+            return ScriptedTraffic({0: [((0, 0), (3, 3), 2)], 2: [(src, dst, 2)]})
+
+        raised = []
+        for run in (
+            lambda: NetworkSimulator(mesh4, xy_routing(mesh4)).run(10, traffic()),
+            lambda: VectorSimulator(mesh4, xy_routing(mesh4)).run(10, traffic()),
+            lambda: run_batch(
+                mesh4, xy_routing(mesh4), no_classes, [(10, traffic()), (10, traffic())]
+            ),
+        ):
+            with pytest.raises(TopologyError) as info:
+                run()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == raised[2]
+        assert "is not in the topology" in raised[0][1]
+
+    def test_failed_router_loses_its_packets_on_both_backends(self):
+        topology = FaultyMesh(Mesh(4, 4), failed=[], failed_nodes=[(1, 1)])
+        routing = UpDownRouting(topology)
+
+        def traffic(seed):
+            # Drawn over the healthy mesh: some packets touch the failed router.
+            return lambda: TrafficGenerator(
+                Mesh(4, 4), TrafficConfig(injection_rate=0.05, packet_length=4, seed=seed)
+            )
+
+        triples = batch_vs_solo(
+            topology, routing, routing.class_rule,
+            [(300, traffic(3)), (300, traffic(4))], drain=[True, True],
+        )
+        for got, solo, ref in triples:
+            assert got == solo == ref
+            assert got["packets_lost"] > 0
+            assert got["packets_delivered"] + got["packets_lost"] == got["packets_injected"]
 
 
 class TestRunPointBackend:
