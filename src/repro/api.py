@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from repro.cdg.verify import Verdict
-    from repro.sim.parallel import ResultCache, SweepEngine, SweepReport
+    from repro.sim.parallel import ResultCache, SweepReport
     from repro.sim.runner import RunConfig, RunResult
 
 __all__ = ["run_point", "sweep", "verify"]
@@ -44,74 +44,55 @@ def run_point(
     *,
     rule: ClassRule = no_classes,
     cache: "bool | str | Path | ResultCache" = False,
-    metrics: "object | bool | None" = None,
-    backend: str | None = None,
 ) -> RunResult:
     """Simulate one point.
 
     ``routing`` may be a live :class:`RoutingFunction`, a factory, or a
-    named spec (``"xy"``, a catalog design name, arrow notation).  With
-    ``cache`` enabled the point is served from / stored into the result
-    cache.  The point runs through :meth:`SweepEngine.run_point
-    <repro.sim.parallel.SweepEngine.run_point>`, which appends a
-    ``run_point`` record when a run ledger is armed.  ``metrics=True``
-    (or a ready :class:`~repro.sim.metrics.MetricsCollector`) attaches
-    telemetry: the finalized collector lands on ``result.metrics`` — and
-    the point is uncacheable, since a cache hit cannot replay samples.
-    ``backend=`` overrides the config's simulation engine
-    (``"reference"`` or ``"vector"``; see :func:`repro.backends`).
+    named spec (``"xy"``, a catalog design name, arrow notation).  The
+    config says everything the point simulates, its backend and telemetry
+    included.  With ``cache`` enabled the point is served from / stored
+    into the result cache.  The point runs through
+    :meth:`SweepEngine.run_point <repro.sim.parallel.SweepEngine.run_point>`,
+    which appends a ``run_point`` record when a run ledger is armed.
 
     >>> from repro import run_point, RunConfig
     >>> from repro.topology import Mesh
     >>> run_point(Mesh(4, 4), "xy", RunConfig(cycles=200)).deadlocked
     False
     """
-    from dataclasses import replace
-
     from repro.sim.parallel import SweepEngine
     from repro.sim.runner import RunConfig
 
     config = config if config is not None else RunConfig()
-    if metrics is not None:
-        config = replace(config, metrics=metrics)
-    if backend is not None:
-        config = replace(config, backend=backend)
     return SweepEngine(cache=cache).run_point(topology, routing, config, rule).result
 
 
 def sweep(
     topology: Topology,
-    routing_factory: "object | str",
+    routing: "RoutingFunction | str | object",
     rates: Sequence[float],
     config: RunConfig | None = None,
     *,
     rule: ClassRule = no_classes,
     jobs: int = 1,
     cache: "bool | str | Path | ResultCache" = False,
-    engine: SweepEngine | None = None,
-    backend: str | None = None,
 ) -> SweepReport:
     """Latency/throughput sweep over injection rates.
 
-    Fans points out over ``jobs`` worker processes (named specs keep the
-    work picklable; raw callables degrade to the deterministic in-process
-    path) and consults the result cache when ``cache`` is enabled.
-    ``backend=`` overrides the config's simulation engine for every
-    point (``"reference"`` or ``"vector"``; see :func:`repro.backends`).
+    ``SweepEngine(jobs, cache).sweep(...)`` in one call; ``routing`` is
+    what :func:`run_point` takes.  Fans points out over ``jobs`` worker
+    processes (named specs keep the work picklable; raw callables degrade
+    to the deterministic in-process path) and consults the result cache
+    when ``cache`` is enabled.  A caller with a ready engine calls its
+    :meth:`~repro.sim.parallel.SweepEngine.sweep`.
     Returns a :class:`~repro.sim.parallel.SweepReport`; the bare result
     list is its ``.results``.
     """
     from repro.sim.parallel import SweepEngine
     from repro.sim.runner import RunConfig
 
-    if engine is None:
-        engine = SweepEngine(jobs=jobs, cache=cache)
     config = config if config is not None else RunConfig()
-    if backend is not None:
-        from dataclasses import replace
-
-        config = replace(config, backend=backend)
-    return engine.sweep(topology, routing_factory, rates, config, rule)
+    return SweepEngine(jobs=jobs, cache=cache).sweep(topology, routing, rates, config, rule)
 
 
 def verify(

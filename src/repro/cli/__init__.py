@@ -65,15 +65,12 @@ def resolve_design(text: str, *, validate: bool = True) -> tuple[PartitionSequen
 
 
 def engine_from_args(args: argparse.Namespace):
-    """Build the SweepEngine the --jobs/--cache flags describe (or None)."""
+    """Build the SweepEngine the --jobs/--cache flags describe."""
     from repro.sim.parallel import SweepEngine
 
-    cache = (args.cache_dir or True) if args.cache else False
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jobs == 1 and not cache:
-        return None
-    return SweepEngine(jobs=args.jobs, cache=cache)
+    return SweepEngine(jobs=args.jobs, cache=(args.cache_dir or True) if args.cache else False)
 
 
 def record(kind: str, spec: str, *, label: str = "", **fields: object) -> None:

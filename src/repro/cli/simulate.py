@@ -28,7 +28,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for name in wanted:
         fn = ALL_EXPERIMENTS[name]
         kwargs = {}
-        if engine is not None and "engine" in inspect.signature(fn).parameters:
+        if "engine" in inspect.signature(fn).parameters:
             kwargs["engine"] = engine
         started = time.perf_counter()
         result = fn(**kwargs)
@@ -73,7 +73,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         FaultSchedule,
         RecoveryPolicy,
         RunConfig,
-        SweepEngine,
     )
 
     _design, suggested = resolve_design(args.design)
@@ -105,7 +104,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace=bool(args.trace_out),
         backend=args.backend,
     )
-    engine = engine_from_args(args) or SweepEngine()
+    engine = engine_from_args(args)
     point = engine.run_point(
         mesh, EbdaDesignFactory(args.design), config, rule_for_design(suggested)
     )
@@ -178,7 +177,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sim import (
         NAMED_ROUTING_FACTORIES,
         RunConfig,
-        SweepEngine,
         compare_table,
         resolve_routing_factory,
         saturation_rate,
@@ -200,7 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             " (catalog design names and arrow notation also accepted)"
         )
 
-    engine = engine_from_args(args) or SweepEngine()
+    engine = engine_from_args(args)
     config = RunConfig(
         cycles=args.cycles,
         packet_length=args.length,

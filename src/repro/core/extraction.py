@@ -112,17 +112,6 @@ def degree90_turns(
     return turnset.of_kind(TurnKind.DEGREE90)
 
 
-def allowed_turn_pairs(
-    sequence: PartitionSequence,
-    *,
-    transitions: str = "all",
-    validate: bool = True,
-) -> frozenset[tuple[Channel, Channel]]:
-    """The design's turns as (src, dst) channel pairs, for set comparisons."""
-    turnset = extract_turns(sequence, transitions=transitions, validate=validate)
-    return frozenset((t.src, t.dst) for t in turnset.turns)
-
-
 def injection_channels(sequence: PartitionSequence) -> tuple[Channel, ...]:
     """Channels a freshly injected packet may take (all of them).
 

@@ -9,7 +9,7 @@ buffers and Duato-atomic buffers).
 
 All six trials are independent simulation points expressed as named
 routing specs, so the :class:`~repro.sim.parallel.SweepEngine` can fan
-them out over worker processes (``jobs``) and serve repeats from its
+them out over its worker processes and serve repeats from its
 result cache — the cold-then-warm cache test
 (``tests/experiments/test_experiments.py``) drives it twice for exactly
 that reason.
@@ -41,12 +41,11 @@ def run(
     mesh_size: int = 4,
     *,
     cycles: int = 3000,
-    jobs: int = 1,
     engine: SweepEngine | None = None,
 ) -> ExperimentResult:
     mesh = Mesh(mesh_size, mesh_size)
     if engine is None:
-        engine = SweepEngine(jobs=jobs)
+        engine = SweepEngine()
     stress = RunConfig(
         cycles=cycles,
         injection_rate=0.30,

@@ -57,12 +57,12 @@ def _fmt(value: float) -> str:
 
 
 def run(
-    *, cycles: int = 300, jobs: int = 1, engine: SweepEngine | None = None
+    *, cycles: int = 300, engine: SweepEngine | None = None
 ) -> ExperimentResult:
     checks: list[Check] = []
     rows = []
     if engine is None:
-        engine = SweepEngine(jobs=jobs)
+        engine = SweepEngine()
 
     # Part 1: fault count x injection rate on the 5x5 mesh — one engine
     # fan-out over the whole grid (schedules and factories are picklable).

@@ -9,8 +9,8 @@ transpose, adaptive algorithms sustain higher load than deterministic XY.
 
 Every (pattern, algorithm) curve goes through the
 :class:`~repro.sim.parallel.SweepEngine`: named routing/pattern specs
-keep the points picklable, so ``jobs > 1`` fans the whole grid out over
-worker processes with bit-identical results.
+keep the points picklable, so an engine with several workers fans the
+whole grid out over worker processes with bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ def run(
     *,
     cycles: int = 1500,
     rates: tuple[float, ...] = (0.02, 0.05, 0.08, 0.12),
-    jobs: int = 1,
     engine: SweepEngine | None = None,
 ) -> ExperimentResult:
     mesh = Mesh(mesh_size, mesh_size)
     if engine is None:
-        engine = SweepEngine(jobs=jobs)
+        engine = SweepEngine()
     base = RunConfig(
         cycles=cycles,
         packet_length=4,

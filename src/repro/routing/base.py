@@ -17,7 +17,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.core.channel import Channel
-from repro.errors import RoutingError
 from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -144,20 +143,6 @@ class RoutingFunction(ABC):
                 if ch.dim == link.dim and ch.sign == link.sign and ch.cls == tag:
                     out.append((link.dst, ch))
         return out
-
-    def require_candidates(
-        self, cur: Coord, dst: Coord, in_channel: Channel | None
-    ) -> list[Candidate]:
-        """Candidates, raising :class:`RoutingError` on a dead-end."""
-        if cur == dst:
-            return []
-        found = self.candidates(cur, dst, in_channel)
-        if not found:
-            raise RoutingError(
-                f"{type(self).__name__}: no legal output at {cur} for dst {dst}"
-                f" arriving on {in_channel}"
-            )
-        return found
 
     @property
     def name(self) -> str:

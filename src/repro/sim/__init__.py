@@ -63,7 +63,6 @@ _EXPORTS = {
         "run_point",
         "run_points",
         "saturation_rate",
-        "sweep_rates",
     ),
     "repro.sim.specs": (
         "NAMED_ROUTING_FACTORIES",

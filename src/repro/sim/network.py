@@ -221,8 +221,11 @@ class NetworkSimulator:
         :class:`WireState` objects of :attr:`state`.  ``_out_rank`` maps
         each wire to ``(link rank, state)``, where a link's rank is its
         position in ``sorted(Link)``: wires sort by ``(link, channel)``,
-        so ranks number the links in wire order.
+        so ranks number the links in wire order.  ``_dead`` holds the
+        topology's failed routers, read once per topology rather than per
+        offered packet.
         """
+        self._dead = frozenset(getattr(self.topology, "failed_nodes", ()))
         self._rows = tuple((w, self.state[w], w.dst) for w in self.wires)
         ranks: dict[Link, int] = {}
         self._out_rank: dict[Wire, tuple[int, WireState]] = {
@@ -269,8 +272,7 @@ class NetworkSimulator:
         over the original topology keep producing them after the failure,
         and flit conservation (``delivered + lost == injected``) must hold.
         """
-        dead = getattr(self.topology, "failed_nodes", ())
-        if packet.src in dead or packet.dst in dead:
+        if packet.src in self._dead or packet.dst in self._dead:
             self.stats.packets_injected += 1
             self._mark_lost(packet)
             return
@@ -697,8 +699,7 @@ class NetworkSimulator:
                     tuple(sorted(l))
                     for l in getattr(self.topology, "failed_links", ())
                 }
-                dead = getattr(self.topology, "failed_nodes", ())
-                if key in failed or u in dead or v in dead:
+                if key in failed or u in self._dead or v in self._dead:
                     return  # already failed
                 raise FaultError(
                     f"link fault names an unknown link {u}-{v}"
@@ -719,7 +720,7 @@ class NetworkSimulator:
         elif event.kind == "router":
             node = event.node
             if node not in self.topology.node_set:
-                if node in getattr(self.topology, "failed_nodes", ()):
+                if node in self._dead:
                     return  # already failed
                 raise FaultError(f"router fault names an unknown node {node}")
             self.stats.faults_injected += 1

@@ -748,9 +748,9 @@ class SweepEngine:
     ) -> SweepReport:
         """Latency/throughput curve over injection rates, one point per rate.
 
-        :func:`repro.sim.runner.sweep_rates` runs through here; named
-        specs keep the fan-out picklable, raw factories degrade to the
-        in-process path automatically.  ``routing_factory`` may also be
+        :func:`repro.sweep` is this method on ``SweepEngine(jobs, cache)``;
+        named specs keep the fan-out picklable, raw factories degrade to
+        the in-process path automatically.  ``routing_factory`` may also be
         a ready :class:`~repro.routing.base.RoutingFunction`, as for
         :meth:`run_many`.
         """

@@ -1,4 +1,4 @@
-"""Experiment runner: single points, injection-rate sweeps, saturation.
+"""Experiment runner: simulation points, saturation, comparison tables.
 
 This is the harness the performance benchmarks (V2/V3 in DESIGN.md) drive.
 Every run is fully described by a :class:`RunConfig`, making experiments
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 from repro.errors import EbdaError, SimulationError
 from repro.routing.base import RoutingFunction
@@ -38,9 +38,6 @@ from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.topology.base import Topology
 from repro.topology.classes import ClassRule, no_classes
 
-if TYPE_CHECKING:
-    from repro.sim.parallel import SweepEngine
-
 __all__ = [
     "RoutingFactory",
     "RunConfig",
@@ -49,7 +46,6 @@ __all__ = [
     "run_point",
     "run_points",
     "saturation_rate",
-    "sweep_rates",
 ]
 
 
@@ -345,44 +341,6 @@ def _run_batched(network: tuple, configs: list[RunConfig]) -> list[RunResult | E
     return outcomes
 
 
-def sweep_rates(
-    topology: Topology,
-    routing_factory: RoutingFactory | str,
-    rates: Sequence[float],
-    config: RunConfig,
-    *deprecated_rule: ClassRule,
-    rule: ClassRule | None = None,
-    engine: "SweepEngine | None" = None,
-    jobs: int | None = None,
-) -> list[RunResult]:
-    """Latency/throughput curve over injection rates (one fresh simulator per point).
-
-    Runs through :meth:`SweepEngine.sweep <repro.sim.parallel.SweepEngine.sweep>`:
-    ``engine=`` supplies the engine (for its process pool and result
-    cache), ``jobs=`` builds one with that many workers, and the default
-    is the deterministic in-process engine.  Like every engine sweep, it
-    appends a ``sweep`` record when a run ledger is armed.
-
-    .. versionchanged:: 1.6
-        Passing ``rule`` positionally (deprecated since 1.1) is now an
-        error; pass it by keyword.
-    """
-    if deprecated_rule:
-        raise TypeError(
-            "sweep_rates() no longer accepts the class rule positionally"
-            " (deprecated in 1.1, removed in 1.6): pass it by keyword,"
-            " sweep_rates(..., rule=...)"
-        )
-    if rule is None:
-        rule = no_classes
-
-    if engine is None:
-        from repro.sim.parallel import SweepEngine
-
-        engine = SweepEngine(jobs=jobs or 1)
-    return engine.sweep(topology, routing_factory, rates, config, rule=rule).results
-
-
 def saturation_rate(
     results: Sequence[RunResult],
     *,
@@ -394,16 +352,20 @@ def saturation_rate(
     The zero-load baseline is the *minimum-rate* point with any delivered
     packets — not merely the first element — so a sweep supplied in
     descending (or shuffled) rate order, or one whose early points sit
-    above saturation, cannot mislabel the curve.
+    above saturation, cannot mislabel the curve.  That baseline point is
+    itself saturated when its packets already wait ``latency_factor`` x
+    their network latency in total: a sweep whose every point is past
+    saturation reports its lowest rate, not None.
     """
-    if not results:
-        return None
     measured = [r for r in results if r.stats.latencies]
     if not measured:
         return None
-    base = min(measured, key=lambda r: r.config.injection_rate).avg_latency
+    lowest = min(measured, key=lambda r: r.config.injection_rate)
+    base = lowest.avg_latency
     for r in sorted(results, key=lambda r: r.config.injection_rate):
         if r.deadlocked:
+            return r.config.injection_rate
+        if r is lowest and base > latency_factor * r.stats.avg_network_latency:
             return r.config.injection_rate
         if r.stats.latencies and r.avg_latency > latency_factor * base:
             return r.config.injection_rate

@@ -66,11 +66,10 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     """Write one strict JSON value per line; returns the line count.
 
     Keys keep insertion order; a NaN raises before the file is opened.
+    The file is replaced through :func:`atomic_write`.
     """
     lines = [json.dumps(record, allow_nan=False) + "\n" for record in records]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(lines))
+    atomic_write(path, "".join(lines))
     return len(lines)
 
 

@@ -176,8 +176,7 @@ class TestLedgerIdentity:
         try:
             for mesh, rate in ((Mesh(4, 4), 0.05), (Mesh(4, 4), 0.1),
                                (Mesh(3, 3), 0.05), (Mesh(3, 3), 0.1)):
-                run_point(mesh, "xy", RunConfig(cycles=150, injection_rate=rate),
-                          metrics=True)
+                run_point(mesh, "xy", RunConfig(cycles=150, injection_rate=rate, metrics=True))
         finally:
             set_ledger(None)
         records = RunLedger(tmp_path).records()

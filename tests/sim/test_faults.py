@@ -14,6 +14,7 @@ from repro.sim import (
     FaultEvent,
     FaultSchedule,
     NetworkSimulator,
+    Packet,
     RecoveryPolicy,
     RunConfig,
     ScriptedTraffic,
@@ -257,6 +258,31 @@ class TestRouterFailure:
             == stats.packets_injected
         )
         assert stats.packets_lost > 0  # (1,1) was sourcing/sinking traffic
+
+    def test_offers_do_not_reread_the_failed_routers(self, monkeypatch):
+        topo = FaultyMesh(Mesh(4, 4), failed=[], failed_nodes=[(1, 1)])
+        sim = _faulty_sim(topo, None)
+        reads = []
+        failed_nodes = FaultyMesh.failed_nodes
+
+        def counting(self):
+            reads.append(1)
+            return failed_nodes.fget(self)
+
+        monkeypatch.setattr(FaultyMesh, "failed_nodes", property(counting))
+        live = [n for n in topo.nodes if n != (1, 1)]
+        packets = [
+            Packet(pid=pid, src=src, dst=dst, length=2, created=0)
+            for pid, (src, dst) in enumerate(
+                [(a, b) for a in live for b in live if a != b]
+                + [((1, 1), b) for b in live] + [(a, (1, 1)) for a in live]
+            )
+        ]
+        for packet in packets:
+            sim.offer_packet(packet)
+        assert reads == []
+        assert sim.stats.packets_injected == len(packets)
+        assert sim.stats.packets_lost == 2 * len(live)
 
 
 class TestDropFault:

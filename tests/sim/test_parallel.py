@@ -10,7 +10,6 @@ from repro.sim import (
     SweepEngine,
     cache_key,
     default_cache_dir,
-    sweep_rates,
 )
 from repro.sim.parallel import topology_token
 from repro.topology import Mesh
@@ -45,9 +44,9 @@ class TestDeterminism:
         assert len(report.results) == len(RATES)
         assert all(r.stats.packets_delivered > 0 for r in report.results)
 
-    def test_sweep_rates_engine_path_matches_serial(self, mesh4):
-        direct = sweep_rates(mesh4, "xy", RATES, _config())
-        engined = sweep_rates(mesh4, "xy", RATES, _config(), jobs=2)
+    def test_jobs2_sweep_matches_serial(self, mesh4):
+        direct = SweepEngine().sweep(mesh4, "xy", RATES, _config()).results
+        engined = SweepEngine(jobs=2).sweep(mesh4, "xy", RATES, _config()).results
         assert [r.stats for r in direct] == [r.stats for r in engined]
 
 

@@ -6,13 +6,14 @@ import pytest
 
 from repro.errors import EbdaError, SimulationError
 from repro.routing import MinimalFullyAdaptive, xy_routing
+import repro
 from repro.sim import (
     RunConfig,
+    SweepEngine,
     compare_table,
     run_point,
     run_points,
     saturation_rate,
-    sweep_rates,
 )
 from repro.topology import Mesh
 from repro.topology.classes import no_classes
@@ -84,12 +85,12 @@ class TestCycleRange:
 
 class TestSweep:
     def test_latency_monotone_with_rate(self, mesh4):
-        results = sweep_rates(
+        results = SweepEngine().sweep(
             mesh4,
             lambda t: MinimalFullyAdaptive(t),
             rates=[0.02, 0.20],
             config=RunConfig(cycles=500, seed=2),
-        )
+        ).results
         assert results[0].avg_latency < results[1].avg_latency
 
     def test_with_rate_builder(self):
@@ -97,47 +98,31 @@ class TestSweep:
         assert cfg.with_rate(0.5).injection_rate == 0.5
         assert cfg.injection_rate == 0.01
 
-
-class TestSweepRatesPositionalRuleRemoved:
-    def test_positional_rule_raises(self, mesh4):
-        from repro.topology.classes import no_classes
-
-        with pytest.raises(TypeError, match="rule positionally"):
-            sweep_rates(
-                mesh4, "xy", [0.02], RunConfig(cycles=200, seed=2), no_classes
-            )
-
     def test_keyword_rule_works(self, mesh4):
-        results = sweep_rates(
+        results = repro.sweep(
             mesh4, "xy", [0.02], RunConfig(cycles=200, seed=2), rule=no_classes
-        )
+        ).results
         assert len(results) == 1
-
-    def test_excess_positionals_rejected(self, mesh4):
-        with pytest.raises(TypeError, match="positionally"):
-            sweep_rates(
-                mesh4, "xy", [0.02], RunConfig(cycles=200), no_classes, no_classes
-            )
 
 
 class TestSaturation:
     def test_detects_latency_blowup(self, mesh4):
-        results = sweep_rates(
+        results = SweepEngine().sweep(
             mesh4,
             lambda t: xy_routing(t),
             rates=[0.02, 0.05, 0.30],
             config=RunConfig(cycles=500, seed=2),
-        )
+        ).results
         sat = saturation_rate(results)
         assert sat == 0.30
 
     def test_none_when_unsaturated(self, mesh4):
-        results = sweep_rates(
+        results = SweepEngine().sweep(
             mesh4,
             lambda t: xy_routing(t),
             rates=[0.01, 0.02],
             config=RunConfig(cycles=400, seed=2),
-        )
+        ).results
         assert saturation_rate(results) is None
 
     def test_empty(self):
@@ -147,19 +132,32 @@ class TestSaturation:
         # Regression: the zero-load baseline must come from the
         # minimum-rate point, so a sweep supplied in descending rate order
         # yields the same verdict as the ascending one.
-        ascending = sweep_rates(
+        ascending = SweepEngine().sweep(
             mesh4, "xy", [0.02, 0.05, 0.30], config=RunConfig(cycles=500, seed=2)
-        )
+        ).results
         descending = list(reversed(ascending))
         assert saturation_rate(ascending) == saturation_rate(descending) == 0.30
+
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_all_saturated_sweep_reports_its_lowest_rate(self, capsys, backend):
+        # Both points sit past saturation (their packets wait far longer
+        # than they travel); adding rate 0.01 to the sweep gives 0.2 too.
+        from repro.cli import main
+
+        main([
+            "sweep", "west-first-vcs", "--mesh", "3x3", "--rates", "0.2,0.32",
+            "--cycles", "600", "--length", "8", "--buffers", "2", "--seed", "1",
+            "--backend", backend,
+        ])
+        assert "saturation: 0.2" in capsys.readouterr().out.splitlines()
 
 
 class TestCompareTable:
     def test_renders_rows(self, mesh4):
-        results = sweep_rates(
+        results = SweepEngine().sweep(
             mesh4, lambda t: xy_routing(t), rates=[0.02],
             config=RunConfig(cycles=200, seed=2),
-        )
+        ).results
         table = compare_table({"xy": results})
         assert "xy" in table and "0.020" in table
 

@@ -228,3 +228,50 @@ class TestStructure:
         built.clear()
         SweepEngine(jobs=1).sweep(Mesh(4, 4), lambda t: xy_routing(t), rates, config)
         assert built == [1] * len(rates)
+
+
+def _defs(node, prefix=""):
+    """``(qualified name, def)`` for every function defined under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _defs(child, f"{name}.")
+
+
+class TestOneDescriptionOfARun:
+    """``RunConfig`` says what a point simulates and ``SweepEngine(jobs,
+    cache)`` how points run; no other parameter says either."""
+
+    def test_facade_keywords_do_not_copy_config_fields_or_an_engine(self):
+        import inspect
+        from dataclasses import fields
+
+        config_fields = {f.name for f in fields(RunConfig)}
+        for fn in (repro.run_point, repro.sweep):
+            params = set(inspect.signature(fn).parameters)
+            assert params.isdisjoint(config_fields), fn.__name__
+            assert "engine" not in params, fn.__name__
+
+    def test_one_sweep_function(self):
+        import repro.sim
+
+        assert not hasattr(repro.sim, "sweep_rates")
+        assert "sweep_rates" not in repro.sim.__all__
+
+    def test_worker_count_is_an_engine_parameter(self):
+        # ``_chunks`` is private: it splits misses by the engine's own jobs.
+        knobs = []
+        for path in sorted(SRC.rglob("*.py")):
+            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+            for name, node in _defs(ast.parse(path.read_text())):
+                public = all(
+                    not part.startswith("_") or part.endswith("__")
+                    for part in name.split(".")
+                )
+                args = node.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                if public and "jobs" in params:
+                    knobs.append(f"{module}.{name}")
+        assert knobs == ["api.sweep", "sim.parallel.SweepEngine.__init__"]

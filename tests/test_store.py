@@ -80,6 +80,19 @@ class TestWriteJsonl:
             store.write_jsonl(path, [{"ok": 1}, {"bad": float("nan")}])
         assert path.read_text() == "kept\n"
 
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        path.write_text("kept\n")
+
+        def boom(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(store.os, "replace", boom)
+        with pytest.raises(OSError, match="disk gone"):
+            store.write_jsonl(path, [{"ok": 1}])
+        assert path.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]  # no tmp left behind
+
 
 def test_default_cache_dir(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_EBDA_CACHE_DIR", raising=False)
