@@ -27,7 +27,6 @@ from repro.analyze.diagnostics import RULES, Diagnostic, Severity
 from repro.analyze.rules import THEOREM_MIRROR_RULES
 from repro.analyze.unit import DesignUnit
 from repro.errors import EbdaError
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 
 __all__ = ["AnalysisReport", "Analyzer", "lint_design", "static_errors"]
@@ -140,12 +139,6 @@ class Analyzer:
                         )
                     diagnostics.append(diag)
             span.set(rules=len(ran), diagnostics=len(diagnostics))
-        REGISTRY.counter(
-            "repro_lint_units_total", help="Design units linted."
-        ).inc()
-        REGISTRY.counter(
-            "repro_lint_diagnostics_total", help="Lint diagnostics emitted."
-        ).inc(len(diagnostics))
         return AnalysisReport(
             unit_name=unit.name,
             diagnostics=tuple(diagnostics),

@@ -6,8 +6,7 @@ family at concrete points, run the concrete :class:`~repro.analyze.Analyzer`
 over exactly the rules the certificates cover, and compare error sets.
 Any disagreement is a bug in the prover, the concrete rules, or the
 family description — all three are worth an alarm, which is why the check
-runs as a fuzz oracle (``repro fuzz --instantiations``) and as
-``repro certify --gate``, which CI runs at 500 random points.
+runs as ``repro certify --gate``, which CI runs at 500 random points.
 
 For the Algorithm-1 closed form the gate additionally asserts the schema
 reproduces :func:`repro.core.partitioning.partition_vc_budget` verbatim,
@@ -194,7 +193,7 @@ def differential_gate(
 
     Every family gets at least one point; the rest are spread uniformly.
     Raises nothing on disagreement — the result carries the evidence so
-    callers (CLI, CI gate, fuzz oracle) choose how loudly to fail.
+    callers (CLI, CI gate) choose how loudly to fail.
     """
     chosen = tuple(sorted(SYMBOLIC_FAMILIES)) if names is None else names
     if points < len(chosen):

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro.errors import EbdaError, SimulationError, UnroutableError
 from repro.obs.ledger import record_run
-from repro.obs.metrics import REGISTRY
 from repro.sim.faults import FaultSchedule, RecoveryPolicy
 from repro.sim.runner import RunConfig, run_point
 from repro.sim.specs import EbdaDesignFactory, resolve_routing_factory
@@ -453,12 +452,6 @@ class ChaosCampaign:
                     self.checkpoint.store(index, data)
                 stored[index] = data
                 counts[record["outcome"]] += 1
-            for outcome, n in counts.items():
-                REGISTRY.gauge(
-                    "repro_chaos_outcomes",
-                    labels={"outcome": outcome},
-                    help="Chaos trial outcomes so far, by classification.",
-                ).set(n)
 
         interrupted = self.engine.run_campaign(
             "chaos",

@@ -42,7 +42,6 @@ through :class:`~repro.sim.parallel.ResultCache`.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -50,7 +49,7 @@ from pathlib import Path
 from repro.errors import EbdaError, SimulationError
 from repro.routing.packet import Packet
 from repro.sim.traffic import ScriptedTraffic
-from repro.store import atomic_write, canonical_json, digest, read_jsonl
+from repro.store import canonical_json, digest, read_jsonl, write_jsonl
 from repro.topology.base import Coord, Topology
 
 __all__ = [
@@ -204,23 +203,17 @@ class WorkloadTrace:
         """
         meta = {"record": "workload-meta", **self.to_dict()}
         meta.pop("events", None)
-        lines = [json.dumps(meta, sort_keys=True, allow_nan=False)]
-        for cycle, src, dst, length in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "injection",
-                        "cycle": cycle,
-                        "src": list(src),
-                        "dst": list(dst),
-                        "length": length,
-                    },
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
-        atomic_write(path, "\n".join(lines) + "\n")
-        return len(lines)
+        injections = (
+            {
+                "cycle": cycle,
+                "dst": list(dst),
+                "length": length,
+                "record": "injection",
+                "src": list(src),
+            }
+            for cycle, src, dst, length in self.events
+        )
+        return write_jsonl(path, [dict(sorted(meta.items())), *injections])
 
     # -- materialisation --------------------------------------------------------
 

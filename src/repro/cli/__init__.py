@@ -30,8 +30,8 @@ class Verb:
     """One CLI verb: its name, help line, body, own flags and shared flag groups.
 
     ``configure`` adds the verb's own arguments; ``groups`` names the
-    shared flag groups (``backend``, ``engine``, ``obs``) added after
-    them, in the order listed.
+    shared flag groups (``backend``, ``jobs``, ``cache``, ``obs``) added
+    after them, in the order listed.
     """
 
     name: str
@@ -65,12 +65,17 @@ def resolve_design(text: str, *, validate: bool = True) -> tuple[PartitionSequen
 
 
 def engine_from_args(args: argparse.Namespace):
-    """Build the SweepEngine the --jobs/--cache flags describe."""
+    """Build the SweepEngine the --jobs/--cache flags describe.
+
+    A verb without the ``cache`` flag group (``fuzz``, ``chaos``) runs
+    uncached.
+    """
     from repro.sim.parallel import SweepEngine
 
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    return SweepEngine(jobs=args.jobs, cache=(args.cache_dir or True) if args.cache else False)
+    cache = (args.cache_dir or True) if getattr(args, "cache", False) else False
+    return SweepEngine(jobs=args.jobs, cache=cache)
 
 
 def record(kind: str, spec: str, *, label: str = "", **fields: object) -> None:
@@ -125,11 +130,14 @@ def _backend_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_flags(parser: argparse.ArgumentParser) -> None:
+def _jobs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for simulation points (default 1: in-process)",
     )
+
+
+def _cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache", dest="cache", action="store_true", default=False,
         help="serve repeated points from the on-disk result cache",
@@ -156,7 +164,10 @@ def _obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-FLAG_GROUPS = {"backend": _backend_flags, "engine": _engine_flags, "obs": _obs_flags}
+FLAG_GROUPS = {
+    "backend": _backend_flags, "jobs": _jobs_flags, "cache": _cache_flags,
+    "obs": _obs_flags,
+}
 
 # The family modules build their Verb records from the names above.
 from repro.cli import analyze, campaign, design, ledger, simulate  # noqa: E402

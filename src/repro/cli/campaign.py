@@ -45,14 +45,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     profile = fast_profile() if args.fast else SimProfile()
     failures = 0
 
-    if args.instantiations > 0:
-        from repro.fuzz import run_instantiations
-
-        report = run_instantiations(args.instantiations, seed=args.seed)
-        print(report.summary())
-        if not report.ok:
-            failures += 1
-
     if args.self_check:
         ok, message = self_check(profile)
         print(message)
@@ -96,7 +88,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 @verb(
     "fuzz", "differential fuzzing: cross-check theorems, CDG and simulator",
-    cmd_fuzz, groups=("engine", "obs"),
+    cmd_fuzz, groups=("jobs", "obs"),
 )
 def FUZZ(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -130,12 +122,6 @@ def FUZZ(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--self-check", action="store_true",
         help="inject a synthetic disagreement and verify detection + shrinking",
-    )
-    parser.add_argument(
-        "--instantiations", type=int, default=0, metavar="N",
-        help="also run the instantiation oracle: cross-check symbolic"
-        " certificates against the concrete linter at N random (n, k)"
-        " points (default 0: off)",
     )
     parser.add_argument(
         "--fast", action="store_true",
@@ -192,7 +178,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 @verb(
     "chaos", "Monte-Carlo chaos campaign: faults x policies x workloads",
-    cmd_chaos, groups=("engine", "obs"),
+    cmd_chaos, groups=("jobs", "obs"),
 )
 def CHAOS(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(

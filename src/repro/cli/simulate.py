@@ -49,7 +49,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-@verb("run", "run experiments by id (or 'all')", cmd_run, groups=("engine", "obs"))
+@verb("run", "run experiments by id (or 'all')", cmd_run, groups=("jobs", "cache", "obs"))
 def RUN(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiments", nargs="+")
 
@@ -125,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 @verb(
     "simulate", "simulate a design under uniform traffic", cmd_simulate,
-    groups=("backend", "engine", "obs"),
+    groups=("backend", "jobs", "cache", "obs"),
 )
 def SIMULATE(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("design")
@@ -243,7 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 @verb(
     "sweep", "latency/throughput sweep through the parallel engine", cmd_sweep,
-    groups=("backend", "engine", "obs"),
+    groups=("backend", "jobs", "cache", "obs"),
 )
 def SWEEP(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(

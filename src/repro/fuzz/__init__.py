@@ -7,10 +7,11 @@ a deadlock watchdog (dynamic), and the arbitrary-network existence
 condition (:mod:`repro.core.arbitrary`) — over seeded random designs and
 deliberate mutants across five topology families (mesh, torus,
 dragonfly, fat-tree, irregular), shrinking any disagreement to a minimal
-replayable witness.  A sixth oracle (:mod:`repro.fuzz.instantiation`)
-judges the *symbolic prover* instead: parametric certificates are
-instantiated at random ``(n, k)`` points and compared against the
-concrete linter.  See ``docs/FUZZING.md``.
+replayable witness.  A sixth oracle judges the *symbolic prover*
+instead: :func:`repro.analyze.symbolic.differential_gate` (``repro
+certify --gate N``) instantiates parametric certificates at random
+``(n, k)`` points and compares them against the concrete linter.  See
+``docs/FUZZING.md``.
 """
 
 from repro.fuzz.corpus import (
@@ -29,11 +30,6 @@ from repro.fuzz.design import (
     Mutation,
 )
 from repro.fuzz.generator import DEFAULT_FAMILIES, DesignGenerator
-from repro.fuzz.instantiation import (
-    InstantiationReport,
-    PointDisagreement,
-    run_instantiations,
-)
 from repro.fuzz.oracle import (
     HARD_DISAGREEMENTS,
     DifferentialOracle,
@@ -62,9 +58,7 @@ __all__ = [
     "Disagreement",
     "FuzzDesign",
     "FuzzReport",
-    "InstantiationReport",
     "Mutation",
-    "PointDisagreement",
     "ShrinkResult",
     "SimProfile",
     "TrialResult",
@@ -75,7 +69,6 @@ __all__ = [
     "replay_corpus",
     "replay_entry",
     "run_fuzz",
-    "run_instantiations",
     "save_entry",
     "self_check",
     "shrink",

@@ -27,7 +27,6 @@ from repro.fuzz.generator import DEFAULT_FAMILIES, DesignGenerator
 from repro.fuzz.oracle import DifferentialOracle, SimProfile, TrialResult
 from repro.fuzz.shrink import ShrinkResult, shrink, within_witness_bound
 from repro.obs.ledger import record_run
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.sim.parallel import SweepEngine
 from repro.store import write_jsonl
@@ -177,16 +176,11 @@ def run_fuzz(
     started = time.monotonic()
     report = FuzzReport(seed=seed, runs_requested=runs)
     tracer = current_tracer()
-    disagreements_metric = REGISTRY.counter(
-        "repro_fuzz_disagreements_total",
-        help="Hard oracle disagreements found by fuzzing.",
-    )
 
     def absorb(trials: list[int], results: list[TrialResult]) -> None:
         for trial, result in zip(trials, results):
             report.trials.append(result)
             if result.disagreement:
-                disagreements_metric.inc()
                 with tracer.span("fuzz.shrink", trial=trial):
                     report.disagreements.append(
                         _handle_disagreement(trial, result, profile, corpus_dir, seed)

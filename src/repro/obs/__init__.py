@@ -1,6 +1,6 @@
-"""Unified observability runtime: spans, run ledger, metrics, heartbeats.
+"""Unified observability runtime: spans, run ledger, heartbeats.
 
-Four pillars, one package, all observational (nothing here ever feeds
+Three pillars, one package, all observational (nothing here ever feeds
 back into cache keys, seeds or simulation results):
 
 * :mod:`repro.obs.trace` — nested span tracing with strict-JSONL export,
@@ -9,8 +9,6 @@ back into cache keys, seeds or simulation results):
   ledger recording every pipeline invocation's identity and outcome
   digest (``repro runs list/show/diff`` queries it; diff detects result
   drift across library versions);
-* :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
-  with Prometheus text exposition and strict-JSONL snapshots;
 * :mod:`repro.obs.heartbeat` — atomic per-campaign heartbeat files and
   the ``repro top`` live-progress renderer.
 
@@ -35,14 +33,6 @@ from repro.obs.ledger import (
     record_run,
     set_ledger,
 )
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     SPAN_SCHEMA,
@@ -59,15 +49,9 @@ from repro.obs.trace import (
 __all__ = [
     "HEARTBEAT_SCHEMA",
     "LEDGER_SCHEMA",
-    "METRICS_SCHEMA",
     "NULL_TRACER",
-    "REGISTRY",
     "SPAN_SCHEMA",
-    "Counter",
-    "Gauge",
     "HeartbeatWriter",
-    "Histogram",
-    "MetricsRegistry",
     "NullTracer",
     "RunLedger",
     "RunRecord",

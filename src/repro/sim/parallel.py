@@ -43,7 +43,6 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.routing.base import RoutingFunction
 from repro.sim.backend import check_run_config, resolve_backend
@@ -428,15 +427,6 @@ class SweepReport:
         }
 
 
-#: Metric names the engine reports (see :mod:`repro.obs.metrics`).
-_HITS = "repro_cache_hits_total"
-_HITS_HELP = "Result-cache hits served without simulating"
-_MISSES = "repro_cache_misses_total"
-_MISSES_HELP = "Result-cache misses (points actually simulated)"
-_SIM_SECONDS = "repro_simulate_seconds"
-_SIM_HELP = "Wall seconds per simulated point, by backend"
-
-
 def _chunks(pending: list[tuple[int, str | None, tuple]], jobs: int) -> list[tuple]:
     """Cut the pending points into ``(topology, routing, configs, rule)``
     chunks, in order.
@@ -592,9 +582,9 @@ class SweepEngine:
         inside a ``<kind>.batch`` span (itself inside one
         ``<kind>.campaign`` span carrying ``attrs``).  Trials of ``total``
         that are not pending (resumed from a checkpoint) count as done.
-        After every batch ``repro_<kind>_trials_total`` grows, the
-        ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
-        beats with the ``status()`` fields, ``progress`` receives
+        After every batch the ``heartbeat`` (a
+        :class:`~repro.obs.heartbeat.HeartbeatWriter`) beats with the
+        ``status()`` fields, ``progress`` receives
         ``<kind>: done/total trials (elapsed s) k=v...``, and, while trials
         are pending, the budget is checked — so at least one batch always
         runs and a cut never lands mid-trial.  The last beat is
@@ -602,9 +592,6 @@ class SweepEngine:
         """
         started = time.monotonic()
         tracer = current_tracer()
-        trials_metric = REGISTRY.counter(
-            f"repro_{kind}_trials_total", help=f"Trials a {kind} campaign completed."
-        )
         batch_size = max(8, self.jobs * 4)
         pending = list(pending)
         done = total - len(pending)
@@ -617,7 +604,6 @@ class SweepEngine:
                     f"{kind}.batch", batch=batch_no, start=batch[0], trials=len(batch)
                 ):
                     absorb(batch, self.map_tasks(fn, [payload(i) for i in batch]))
-                trials_metric.inc(len(batch))
                 done += len(batch)
                 batch_no += 1
                 fields = status()
@@ -717,18 +703,10 @@ class SweepEngine:
                         self.cache.put(key, result, elapsed)
                     backend_stage = f"simulate:{payload[2].backend}"
                     stage_times[backend_stage] = stage_times.get(backend_stage, 0.0) + elapsed
-                    REGISTRY.histogram(
-                        _SIM_SECONDS,
-                        labels={"backend": payload[2].backend},
-                        help=_SIM_HELP,
-                    ).observe(elapsed)
                     outcomes[i] = PointOutcome(result, elapsed, cached=False, key=key)
                 stage_times["cache_write"] = time.perf_counter() - mark
 
             hits = sum(1 for o in outcomes if o is not None and o.cached)
-            if self.cache is not None:
-                REGISTRY.counter(_HITS, help=_HITS_HELP).inc(hits)
-                REGISTRY.counter(_MISSES, help=_MISSES_HELP).inc(len(pending))
             root.set(cache_hits=hits, cache_misses=len(pending))
 
         return SweepReport(

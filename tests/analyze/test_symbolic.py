@@ -161,6 +161,21 @@ class TestInstantiation:
         assert result.ok
         assert len(result.checked) == 20
 
+    def test_differential_gate_checks_only_the_named_families(self):
+        subset = ("dim-order-mesh", "mesh-backward-turn")
+        result = differential_gate(subset, points=10, seed=3)
+        assert result.ok
+        assert result.families == subset
+        assert {name for name, _n, _k in result.checked} == set(subset)
+
+    def test_differential_gate_is_deterministic_for_a_seed(self):
+        a = differential_gate(points=30, seed=9)
+        b = differential_gate(points=30, seed=9)
+        assert a.ok
+        assert len(a.families) >= 20
+        assert a.checked == b.checked
+        assert a.disagreements == b.disagreements
+
     def test_differential_gate_requires_one_point_per_family(self):
         with pytest.raises(EbdaError):
             differential_gate(points=3, seed=0)

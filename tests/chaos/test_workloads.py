@@ -131,6 +131,20 @@ class TestJsonl:
         assert n == 1 + len(trace.events)
         assert load_workload(path) == trace
 
+    def test_replay_file_bytes_are_pinned(self, tmp_path):
+        trace = WorkloadTrace(
+            kind="replay", events=((0, (0, 0), (1, 2), 4), (5, (2, 1), (0, 0), 2))
+        )
+        path = tmp_path / "trace.jsonl"
+        assert trace.save_jsonl(path) == 3
+        assert path.read_text() == (
+            '{"burst_len": 16, "fraction": 1.0, "interval": 4, "kind": "replay",'
+            ' "off_len": 48, "packet_length": 4, "rate": 0.2,'
+            ' "record": "workload-meta", "rounds": 1, "seed": 0, "start": 0}\n'
+            '{"cycle": 0, "dst": [1, 2], "length": 4, "record": "injection", "src": [0, 0]}\n'
+            '{"cycle": 5, "dst": [0, 0], "length": 2, "record": "injection", "src": [2, 1]}\n'
+        )
+
     def test_strict_loader_rejects_nan(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"record": "workload-meta", "kind": "bursty", "rate": NaN}\n')

@@ -218,6 +218,26 @@ class TestRunEngineFlags:
         assert "[PASS]" in capsys.readouterr().out
 
 
+class TestCampaignEngineFlags:
+    """fuzz and chaos trials never read the result cache, so those verbs
+    take ``--jobs`` alone."""
+
+    @pytest.mark.parametrize("verb", ["fuzz", "chaos"])
+    @pytest.mark.parametrize(
+        "flags", [["--cache"], ["--no-cache"], ["--cache-dir", "DIR"]]
+    )
+    def test_cache_flags_rejected(self, verb, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["fuzz", "chaos"])
+    def test_jobs_still_accepted(self, verb):
+        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
+            main([verb, "--jobs", "0", "--quiet"])
+
+
 class TestLogic:
     def test_emits_routing_pseudocode(self, capsys):
         assert main(["logic", "north-last", "--mesh", "4x4"]) == 0
@@ -592,12 +612,3 @@ class TestExists:
         assert (payload["wires"], payload["dependencies"], payload["core"]) == (992, 30752, 992)
         assert payload["cycle"] == ["X+@(0,)->(1,)", "X+@(1,)->(0,)"]
 
-
-class TestFuzzInstantiations:
-    def test_instantiation_oracle_via_fuzz(self, capsys):
-        assert main(
-            ["fuzz", "--runs", "0", "--instantiations", "30", "--quiet"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "instantiation oracle: 30 points" in out
-        assert "all symbolic verdicts confirmed" in out
